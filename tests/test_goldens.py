@@ -11,15 +11,18 @@ intentional, refresh with::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.api import RunConfig, run_cluster
+from repro.api import FAULT_PRESETS, RunConfig, run_cluster
 from repro.baselines import FlexGenSystem
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.core.engine import KlotskiOptions, KlotskiSystem
 from repro.runtime.executor import Executor
 from repro.scenario import Scenario
 from repro.serving.requests import ArrivalConfig, assign_hot_experts, generate_requests
+from repro.serving.scheduler import ContinuousScheduler
 from repro.serving.server import BatchingConfig
 from repro.validation import (
     GoldenStore,
@@ -83,6 +86,57 @@ def _cluster_snapshot() -> dict:
     return {"cluster": snapshot_cluster(report)}
 
 
+def _discipline_snapshot(
+    *, scheduler: str, faults: str | None = None, kv_budget_tokens=None
+) -> dict:
+    """Serial-loop golden for one dispatch discipline, optionally faulted.
+
+    Loaded enough (200 requests at 15 req/s on three replicas) for the
+    ``chaos`` preset to crash, slow down, fail dispatches, retry and (in
+    the continuous discipline) shed, and for a small KV budget to
+    preempt. The full ``to_dict`` digest pins outcomes,
+    attempts, availability and the per-class split.
+    """
+    model = SMALL_MIXTRAL
+    classes = ("interactive", "standard", "batch")
+    requests = [
+        replace(r, slo_class=classes[r.request_id % len(classes)])
+        for r in assign_hot_experts(
+            generate_requests(
+                ArrivalConfig(rate_per_s=15.0, prompt_len_mean=32, gen_len=4, seed=7),
+                200,
+            ),
+            model.num_experts,
+            skew=1.2,
+            seed=7,
+        )
+    ]
+    replicas = build_cluster(
+        model,
+        [small_hardware()] * 3,
+        BatchingConfig(batch_size=2, group_batches=2, max_wait_s=2.0),
+        prompt_len=32,
+        gen_len=4,
+        seed=3,
+        shared_cache={},
+    )
+    simulator = ClusterSimulator(
+        replicas,
+        make_router("least-outstanding"),
+        ClusterConfig(slo_s=30.0, scheduler=scheduler),
+        faults=FAULT_PRESETS.get(faults)() if faults else None,
+    )
+    if kv_budget_tokens is None:
+        report = simulator.run(requests)
+    else:
+        report = ContinuousScheduler(
+            simulator, kv_budget_tokens=kv_budget_tokens
+        ).run(requests)
+    violations = check_cluster(report, requests)
+    assert not violations, "\n".join(map(str, violations))
+    return {"cluster": snapshot_cluster(report)}
+
+
 def _fleet_snapshot(
     *, router: str, arrival: str, engine: str, replicas: int, requests: int
 ) -> dict:
@@ -122,6 +176,15 @@ GOLDEN_CASES = {
     ),
     "pipeline-flexgen-small": lambda: _pipeline_snapshots(FlexGenSystem()),
     "cluster-affinity-2replica": _cluster_snapshot,
+    "cluster-group-chaos-3replica": lambda: _discipline_snapshot(
+        scheduler="group", faults="chaos"
+    ),
+    "cluster-continuous-preempt-3replica": lambda: _discipline_snapshot(
+        scheduler="continuous", kv_budget_tokens=100
+    ),
+    "cluster-continuous-chaos-3replica": lambda: _discipline_snapshot(
+        scheduler="continuous", faults="chaos"
+    ),
     "fleet-roundrobin-poisson-16replica": lambda: _fleet_snapshot(
         router="round-robin", arrival="poisson", engine="sharded",
         replicas=16, requests=20_000,
