@@ -550,17 +550,17 @@ class ClusterConfig:
             :data:`~repro.api.registry.FAULT_PRESETS` name or an inline
             :class:`~repro.cluster.faults.FaultConfig` dict; the empty
             string (default) disables fault injection entirely. Active
-            fault configs force the faulted serial event loop regardless
-            of ``engine`` (see ``docs/robustness.md``).
+            fault configs force the serial event loop regardless of
+            ``engine`` (see ``docs/robustness.md``).
         retry: :class:`~repro.cluster.faults.RetryPolicy` overrides as a
             dict (empty: the default policy); only consulted when
             ``faults`` is active.
         scheduler: dispatch discipline — a
             :data:`~repro.api.registry.SCHEDULERS` name. ``group`` (the
-            default) is the historical batch-group event loop;
-            ``continuous`` admits and preempts at decode-step boundaries
-            (see :mod:`repro.serving.scheduler`). Non-default schedulers
-            always run their own serial loop regardless of ``engine``.
+            default) dispatches whole batch groups; ``continuous``
+            admits and preempts at decode-step boundaries (see
+            :mod:`repro.serving.scheduler`). Non-default schedulers
+            always run the serial event loop regardless of ``engine``.
         queue_depth_stride: keep every N-th per-replica queue-depth
             sample (1, the default, keeps all of them — the exact
             pre-existing behaviour); larger strides bound the timeline

@@ -81,9 +81,9 @@ _EPS = 1e-9  # matches the serial loop's deadline tolerance
 # Event-kind priorities, mirrored from repro.cluster.events.KIND_PRIORITY
 # (plain ints here so group tuples stay cheap to build and pickle). The
 # fast engines never see fault/control kinds — a simulator with an
-# active fault plan falls back to the faulted serial loop before
-# reaching this module — so only these three ranks are mirrored; their
-# relative order is what matters and matches the heap's.
+# active fault plan runs the serial loop instead of this module — so
+# only these three ranks are mirrored; their relative order is what
+# matters and matches the heap's.
 _P_COMPLETION = 0
 _P_ARRIVAL = 8
 _P_DEADLINE = 9
@@ -430,10 +430,9 @@ def _run_inorder(sim: "ClusterSimulator", srt: list[Request]) -> ClusterReport:
 
     Used when the router is load-coupled. Arrivals are consumed straight
     from the sorted stream through an index pointer instead of being heap
-    entries, and deadline/completion events are bare tuples rather than
-    Event dataclasses — same pops in the same order, roughly half the
-    constant factor. Routing calls and replica mutations are identical to
-    the serial loop, so the report is bit-identical by construction.
+    entries, and deadline/completion events are bare tuples — same pops
+    in the same order. Routing calls and replica mutations are identical
+    to the serial loop, so the report is bit-identical by construction.
     """
     replicas, router = sim.replicas, sim.router
     report = ClusterReport(router=router.name, slo_s=sim.config.slo_s)
@@ -493,7 +492,10 @@ def _run_inorder(sim: "ClusterSimulator", srt: list[Request]) -> ClusterReport:
     report.makespan_s = max(
         (r.free_at for r in replicas if r.groups), default=0.0
     )
-    report.replicas = [sim._replica_stats(r) for r in replicas]
+    report.replicas = [
+        sim._replica_stats(r, sum(len(g.requests) for g in r.groups), len(r.groups))
+        for r in replicas
+    ]
     report.counters = {
         "arrivals": n,
         "full_group_dispatches": fulls,

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 ARRIVAL = "arrival"
 DEADLINE = "deadline"
@@ -78,23 +77,25 @@ KIND_PRIORITY = {
 }
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled simulator event; ordering key is (time, kind, seq).
+
+    A plain tuple, so the heap compares events in C. ``seq`` is unique
+    within a queue, so ``kind`` and ``payload`` are never compared.
 
     Attributes:
         time: simulation timestamp (seconds).
         priority: kind rank within a timestamp (:data:`KIND_PRIORITY`).
         seq: FIFO tie-breaker within a (timestamp, kind) class.
-        kind: event type (ARRIVAL / DEADLINE / COMPLETION).
+        kind: event type (ARRIVAL / DEADLINE / COMPLETION / ...).
         payload: event-specific data (request, replica id, ...).
     """
 
     time: float
     priority: int
     seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: str
+    payload: Any = None
 
 
 class EventQueue:

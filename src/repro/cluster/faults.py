@@ -34,11 +34,14 @@ Every request terminates exactly once as ``completed`` | ``shed`` |
 ``failed`` — the conservation invariant enforced by
 :func:`repro.validation.check_cluster` and fuzzed by ``validate
 --chaos`` — and reports gain availability metrics (downtime windows,
-retried/shed/failed counts, per-replica up-time billing). The fast
-engines (:mod:`repro.cluster.engines`) do not model faults; a simulator
-with an active fault config deterministically falls back to the faulted
-serial loop here, which the differential harness treats as trivially
-engine-identical.
+retried/shed/failed counts, per-replica up-time billing).
+
+This module holds the fault *model*; the cluster event loop
+(:meth:`repro.cluster.simulator.ClusterSimulator.simulate`) applies it,
+for every dispatch discipline. The fast engines
+(:mod:`repro.cluster.engines`) do not model faults; a simulator with an
+active fault config deterministically runs that serial loop instead,
+which the differential harness treats as trivially engine-identical.
 """
 
 from __future__ import annotations
@@ -48,24 +51,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.api.registry import register_fault_preset
-from repro.cluster.events import (
-    ARRIVAL,
-    COMPLETION,
-    CRASH,
-    DEADLINE,
-    DRAIN,
-    JOIN,
-    RECOVER,
-    RETRY,
-    SLOW_END,
-    SLOW_START,
-    EventQueue,
-)
-from repro.cluster.report import ClusterReport, make_record
-from repro.obs import count, span
-from repro.serving.requests import Request
-
-_EPS = 1e-9  # matches the serial loop's deadline tolerance
+from repro.cluster.events import CRASH, DRAIN, JOIN, RECOVER, SLOW_END, SLOW_START
+from repro.cluster.report import ClusterReport
 
 # Sub-stream tags for np.random.default_rng([seed, tag, ...]) so the
 # crash, straggler, transient, and jitter streams are independent.
@@ -413,8 +400,8 @@ def finalize_availability(
 ) -> None:
     """Fill per-replica up-time billing and ``report.availability``.
 
-    Shared by the faulted group loop and the continuous scheduler's
-    fault path so both produce the same availability surface. Expects
+    Called by the cluster event loop at the end of every faulted run,
+    so all dispatch disciplines share one availability surface. Expects
     ``report.makespan_s`` and ``report.replicas`` to be final; mutates
     ``report.replicas[*].up_time_s`` and ``report.availability``.
 
@@ -473,310 +460,6 @@ def finalize_availability(
         ),
         "goodput_under_faults_tok_s": report.goodput,
     }
-
-
-def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolicy):
-    """The faulted serial event loop (reference semantics under faults).
-
-    Mirrors ``ClusterSimulator._run`` exactly on the happy path and adds
-    the fault/control kinds. Every request submitted terminates exactly
-    once — ``completed``, ``shed``, or ``failed`` — which
-    :func:`repro.validation.check_cluster` verifies.
-
-    Args:
-        sim: the :class:`~repro.cluster.simulator.ClusterSimulator`.
-        requests: the request stream (any order; sorted internally).
-        plan: the compiled fault schedule.
-        retry: the retry policy for crashed/failed dispatches.
-
-    Returns:
-        A :class:`~repro.cluster.report.ClusterReport` with availability
-        metrics populated.
-    """
-    cfg = plan.config
-    replicas = sim.replicas
-    n = len(replicas)
-    report = ClusterReport(router=sim.router.name, slo_s=sim.config.slo_s)
-    events = EventQueue()
-
-    # Per-replica health/bookkeeping state, indexed by replica_id.
-    up = [True] * n
-    draining = [False] * n
-    join_s = [0.0] * n
-    drain_bill_end: list[float | None] = [None] * n
-    crash_open_s: list[float | None] = [None] * n
-    down_windows: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    epoch = [0] * n  # bumped on crash; stale completions are skipped
-    pending_groups: list[list] = [[] for _ in range(n)]
-    dispatch_seq = [0] * n  # transient-oracle ordinal per replica
-    consec_fail = [0] * n
-    breaker_until = [0.0] * n
-    attempts: dict[int, int] = {}
-    budget_used = 0
-
-    counters = {
-        "arrivals": 0,
-        "full_group_dispatches": 0,
-        "deadline_dispatches": 0,
-        "completions": 0,
-        "crashes": 0,
-        "recoveries": 0,
-        "joins": 0,
-        "drains": 0,
-        "straggler_windows": 0,
-        "transient_failures": 0,
-        "breaker_trips": 0,
-        "retries_scheduled": 0,
-        "requeued_from_crash": 0,
-        "requeued_from_drain": 0,
-        "shed_requests": 0,
-        "failed_requests": 0,
-        "stranded_requests": 0,
-    }
-
-    for t, rid in cfg.joins:
-        up[rid] = False  # joins start down; the JOIN event brings them up
-        join_s[rid] = t
-    for request in sorted(requests, key=lambda r: r.arrival_s):
-        events.push(request.arrival_s, ARRIVAL, request)
-    for t, kind, rid, value in plan.events:
-        events.push(t, kind, (rid, value))
-
-    def terminal(request: Request, now: float, outcome: str, rid: int) -> None:
-        report.records.append(
-            make_record(
-                request,
-                rid,
-                now,
-                now,
-                now,
-                0.0,
-                outcome,
-                attempts.get(request.request_id, 0),
-            )
-        )
-        if outcome == "shed":
-            counters["shed_requests"] += 1
-        else:
-            counters["failed_requests"] += 1
-
-    def retry_or_fail(request: Request, now: float, rid: int) -> None:
-        nonlocal budget_used
-        done = attempts.get(request.request_id, 0)
-        if done >= retry.max_attempts:
-            terminal(request, now, "failed", rid)
-            return
-        if retry.retry_budget > 0 and budget_used >= retry.retry_budget:
-            terminal(request, now, "failed", rid)
-            return
-        budget_used += 1
-        counters["retries_scheduled"] += 1
-        events.push(now + retry.backoff_s(request.request_id, done), RETRY, request)
-
-    def commit_dispatch(replica, now: float, full: bool) -> None:
-        rid = replica.replica_id
-        seq = dispatch_seq[rid]
-        dispatch_seq[rid] += 1
-        if plan.transient_fails(rid, seq):
-            capacity = replica.batching.group_capacity
-            members = replica.queue[:capacity]
-            del replica.queue[: len(members)]
-            replica.sample_queue_depth(now, len(replica.queue))
-            counters["transient_failures"] += 1
-            consec_fail[rid] += 1
-            if cfg.breaker_threshold and consec_fail[rid] >= cfg.breaker_threshold:
-                breaker_until[rid] = now + cfg.breaker_cooldown_s
-                consec_fail[rid] = 0
-                counters["breaker_trips"] += 1
-            for request in members:
-                attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
-                retry_or_fail(request, now, rid)
-            return
-        consec_fail[rid] = 0
-        counters["full_group_dispatches" if full else "deadline_dispatches"] += 1
-        with span("cluster.dispatch", {"replica": rid}):
-            group = replica.dispatch(now)
-        for request in group.requests:
-            attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
-        pending_groups[rid].append(group)
-        events.push(group.completion_s, COMPLETION, (replica, group, epoch[rid]))
-
-    def route(request: Request, now: float) -> None:
-        healthy = [
-            rep
-            for i, rep in enumerate(replicas)
-            if up[i] and not draining[i] and breaker_until[i] <= now
-        ]
-        if not healthy:
-            terminal(request, now, "shed", -1)
-            return
-        with span("cluster.route"):
-            replica = sim.router.choose(request, healthy, now)
-        rid = replica.replica_id
-        protected = request.slo_class == cfg.shed_protect_class
-        if cfg.shed_queue_depth:
-            limit = cfg.shed_queue_depth * (2 if protected else 1)
-            if len(replica.queue) >= limit:
-                terminal(request, now, "shed", rid)
-                return
-        if cfg.shed_slack_s > 0 and not protected:
-            if replica.free_at - now > cfg.shed_slack_s:
-                terminal(request, now, "shed", rid)
-                return
-        replica.enqueue(request, now)
-        if replica.group_ready():
-            commit_dispatch(replica, now, full=True)
-        else:
-            # Retried requests may re-enqueue long after their batching
-            # deadline; clamping to `now` keeps event time monotone (a
-            # plain arrival's deadline is always >= its arrival time).
-            events.push(
-                max(now, request.arrival_s + replica.batching.max_wait_s),
-                DEADLINE,
-                replica,
-            )
-
-    while events:
-        event = events.pop()
-        now = event.time
-        kind = event.kind
-        if kind == ARRIVAL:
-            counters["arrivals"] += 1
-            route(event.payload, now)
-        elif kind == DEADLINE:
-            replica = event.payload
-            rid = replica.replica_id
-            if (
-                up[rid]
-                and replica.queue
-                and replica.oldest_deadline() <= now + _EPS
-            ):
-                commit_dispatch(replica, now, full=False)
-        elif kind == COMPLETION:
-            replica, group, ev_epoch = event.payload
-            rid = replica.replica_id
-            if ev_epoch != epoch[rid]:
-                continue  # group was aborted by a crash
-            counters["completions"] += 1
-            replica.complete(group)
-            pending_groups[rid].remove(group)
-            for request in group.requests:
-                report.records.append(
-                    make_record(
-                        request,
-                        rid,
-                        group.dispatch_s,
-                        group.start_s,
-                        group.completion_s,
-                        group.start_s + group.prefill_s - request.arrival_s,
-                        "completed",
-                        attempts[request.request_id],
-                    )
-                )
-        elif kind == RETRY:
-            route(event.payload, now)
-        elif kind == CRASH:
-            rid, recover_at = event.payload
-            replica = replicas[rid]
-            if not up[rid] or draining[rid]:
-                continue  # stale: replica already down or leaving
-            up[rid] = False
-            crash_open_s[rid] = now
-            counters["crashes"] += 1
-            epoch[rid] += 1
-            aborted = pending_groups[rid]
-            pending_groups[rid] = []
-            if aborted:
-                aborted_ids = {id(g) for g in aborted}
-                replica.groups = [
-                    g for g in replica.groups if id(g) not in aborted_ids
-                ]
-                for g in aborted:
-                    replica.busy_s -= g.completion_s - g.start_s
-                    replica.inflight -= len(g.requests)
-                    replica.expert_misses -= g.expert_misses
-            victims_queued = replica.queue[:]
-            replica.queue.clear()
-            replica.sample_queue_depth(now, 0)
-            replica.free_at = recover_at
-            counters["requeued_from_crash"] += len(victims_queued) + sum(
-                len(g.requests) for g in aborted
-            )
-            # In-flight work consumed its dispatch attempt; queued work
-            # did not and re-routes immediately through the router.
-            for g in aborted:
-                for request in g.requests:
-                    retry_or_fail(request, now, rid)
-            for request in victims_queued:
-                route(request, now)
-        elif kind == RECOVER:
-            rid, _ = event.payload
-            if crash_open_s[rid] is None:
-                continue
-            up[rid] = True
-            down_windows[rid].append((crash_open_s[rid], now))
-            crash_open_s[rid] = None
-            counters["recoveries"] += 1
-        elif kind == JOIN:
-            rid, _ = event.payload
-            replica = replicas[rid]
-            up[rid] = True
-            replica.free_at = max(replica.free_at, now)
-            counters["joins"] += 1
-        elif kind == DRAIN:
-            rid, _ = event.payload
-            replica = replicas[rid]
-            if draining[rid]:
-                continue
-            draining[rid] = True
-            counters["drains"] += 1
-            drain_bill_end[rid] = max(
-                [now] + [g.completion_s for g in pending_groups[rid]]
-            )
-            victims = replica.queue[:]
-            replica.queue.clear()
-            replica.sample_queue_depth(now, 0)
-            counters["requeued_from_drain"] += len(victims)
-            for request in victims:
-                route(request, now)
-        elif kind == SLOW_START:
-            rid, factor = event.payload
-            replicas[rid].slow_factor = factor
-            counters["straggler_windows"] += 1
-        elif kind == SLOW_END:
-            rid, _ = event.payload
-            replicas[rid].slow_factor = 1.0
-
-    # Defensive flush: the loop's deadline/crash/drain handling should
-    # drain every queue; anything left is a conservation bug we surface
-    # as a counted terminal record rather than a silently lost request.
-    for replica in replicas:
-        for request in replica.queue:
-            terminal(request, replica.free_at, "failed", replica.replica_id)
-            counters["stranded_requests"] += 1
-        replica.queue.clear()
-        replica.slow_factor = 1.0
-
-    # Makespan is the last terminal event, not replica free_at — a crash
-    # sets free_at to its recovery time, which may outlive all traffic.
-    report.makespan_s = max((r.completion_s for r in report.records), default=0.0)
-    report.replicas = [sim._replica_stats(r) for r in replicas]
-
-    finalize_availability(
-        report,
-        crash_open_s,
-        down_windows,
-        join_s,
-        drain_bill_end,
-        counters["retries_scheduled"],
-    )
-    counters["dispatched_groups"] = (
-        counters["full_group_dispatches"] + counters["deadline_dispatches"]
-    )
-    report.counters = counters
-    for name, value in counters.items():
-        count(f"cluster.{name}", value)
-    return report
 
 
 # ---------------------------------------------------------------------------

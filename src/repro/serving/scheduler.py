@@ -1,11 +1,19 @@
-"""Iteration-level (continuous-batching) cluster scheduling.
+"""Cluster dispatch disciplines: group-granular and iteration-level.
 
-The historical cluster loop (:class:`~repro.cluster.simulator.ClusterSimulator`)
-is *group-granular*: a batch group is formed, dispatched, and holds its
-replica's execution slot until every member finishes — the straightforward
-serving shape of the paper's throughput-oriented design. This module adds
-the iteration-level alternative popularized by Orca/vLLM: replicas advance
-in *decode steps*, and at every step boundary the scheduler
+Every cluster simulation runs the one event loop of
+:meth:`~repro.cluster.simulator.ClusterSimulator.simulate`, which owns
+routing, fleet health, faults, retries, shedding and the report. A
+:class:`Scheduler` subclass plugs into it and supplies only what
+differs between disciplines: how a routed request is dispatched, its own
+event kinds, what a crash aborts, and the per-replica work counts.
+
+The default ``group`` discipline (:class:`GroupScheduler`) is
+*group-granular*: a batch group is formed, dispatched, and holds its
+replica's execution slot until every member finishes — the
+straightforward serving shape of the paper's throughput-oriented design.
+:class:`ContinuousScheduler` is the iteration-level alternative
+popularized by Orca/vLLM: replicas advance in *decode steps*, and at
+every step boundary the scheduler
 
 * **admits** queued requests into the running batch (SLO-class priority:
   interactive tenants are admitted first, FIFO within a class),
@@ -32,12 +40,12 @@ mid-step bumps the epoch, so the step's work is discarded and its
 in-flight requests retry, which is what makes preempt-then-crash-then-
 retry sequences conserve requests exactly once.
 
-Fault composition mirrors :mod:`repro.cluster.faults`: crash/recover,
-join/drain, straggler windows, transient admission failures with circuit
-breakers, retries with seeded backoff, and depth-based load shedding all
-behave as in the group loop. Deadline-slack shedding is depth-only here:
-with per-step admission a replica's backlog horizon is one decode step,
-so the slack signal the group loop sheds on does not exist.
+Faults come from the shared loop: crash/recover, join/drain, straggler
+windows, transient admission failures with circuit breakers, retries
+with seeded backoff, and depth-based load shedding behave as in the
+group discipline. Deadline-slack shedding does not apply: with per-step
+admission a replica's backlog horizon is one decode step, so the slack
+signal the group discipline sheds on does not exist.
 
 Per-request records keep the causality contract of
 :func:`repro.validation.check_cluster`: ``dispatch_s == start_s`` is the
@@ -57,20 +65,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api.registry import register_scheduler
-from repro.cluster.events import (
-    ARRIVAL,
-    CRASH,
-    DECODE_STEP,
-    DRAIN,
-    JOIN,
-    RECOVER,
-    RETRY,
-    SLOW_END,
-    SLOW_START,
-    EventQueue,
-)
-from repro.cluster.report import ClusterReport, ReplicaStats, make_record
-from repro.obs import count, span
+from repro.cluster.events import COMPLETION, DEADLINE, DECODE_STEP
+from repro.cluster.report import ClusterReport, make_record
+from repro.obs import span
 from repro.serving.requests import Request
 
 _EPS = 1e-9
@@ -115,52 +112,154 @@ def _footprint(streaming, tokens: int) -> int:
 class Scheduler:
     """Base class for registry-backed cluster dispatch disciplines.
 
-    A scheduler owns the full event loop for one simulation run. It is
-    instantiated per run as ``cls(simulator)`` and consumes the
-    simulator's replicas/router/config exactly like the built-in loop.
+    A discipline plugs into the one cluster event loop,
+    :meth:`~repro.cluster.simulator.ClusterSimulator.simulate`, which
+    owns routing, fleet health, faults, retries, shedding and the
+    report. It is instantiated per run as ``cls(simulator)`` and
+    supplies only what differs between disciplines: the hooks below.
+
+    Attributes:
+        counter_names: the discipline's own report counters, in order.
+        sheds_on_slack: whether deadline-slack shedding applies (it
+            needs a backlog horizon longer than one step).
     """
 
     name = "base"
+    counter_names: tuple[str, ...] = ()
+    sheds_on_slack = True
 
     def __init__(self, sim):
         self.sim = sim
 
     def run(self, requests: list[Request]) -> ClusterReport:
+        """Simulate ``requests`` through the shared loop under this discipline."""
+        return self.sim.simulate(requests, self)
+
+    def enqueue(self, replica, request: Request, now: float) -> None:
+        """Queue a routed request on ``replica`` and schedule its dispatch."""
         raise NotImplementedError
+
+    def on_event(self, kind: str, payload, now: float) -> None:
+        """Handle one of the discipline's own event kinds."""
+        raise NotImplementedError
+
+    def abort(self, replica) -> list[Request]:
+        """Drop ``replica``'s in-flight work (crash or end-of-run flush).
+
+        Returns the requests that had consumed a dispatch attempt.
+        """
+        return []
+
+    def served(self, replica) -> tuple[int, int]:
+        """``(requests, groups)`` reported in the replica's stats."""
+        return sum(len(g.requests) for g in replica.groups), len(replica.groups)
+
+    def finish(self, report: ClusterReport, requests: list[Request]) -> None:
+        """Stamp discipline-specific fields on the assembled report."""
 
 
 @register_scheduler("group")
 class GroupScheduler(Scheduler):
-    """The historical group-granular loop, as a registry entry.
+    """Group-granular dispatch: a batch group holds its replica to the end.
 
-    ``ClusterSimulator.run`` never diverts for the default ``"group"``
-    name (golden safety: that path stays byte-identical), so this class
-    exists for registry completeness — ``scheduler_names()`` lists it,
-    and driving it directly reproduces the simulator's own loops,
-    faulted or not.
+    A replica dispatches its queue head as one group once the group is
+    full, or when the oldest request's batching wait expires (a
+    ``DEADLINE`` event, validated lazily). The group finishes at its
+    ``COMPLETION`` event. Fault-free runs record a group's requests at
+    dispatch; faulted runs record them at completion, since a crash may
+    still abort the group. The fast engines of
+    :mod:`repro.cluster.engines` reproduce the fault-free discipline bit
+    for bit.
     """
 
     name = "group"
+    counter_names = (
+        "full_group_dispatches",
+        "deadline_dispatches",
+        "dispatched_groups",
+        "completions",
+    )
 
-    def run(self, requests: list[Request]) -> ClusterReport:
+    def __init__(self, sim):
+        super().__init__(sim)
+        # Dispatched, not yet completed groups (tracked only under faults).
+        self.pending: list[list] = [[] for _ in sim.replicas]
+
+    def enqueue(self, replica, request: Request, now: float) -> None:
+        replica.enqueue(request, now)
+        if replica.group_ready():
+            self._dispatch(replica, now, "full_group_dispatches")
+            return
+        # Retried requests may re-enqueue long after their batching
+        # deadline; clamping to `now` keeps event time monotone (a plain
+        # arrival's deadline is always >= its arrival time).
+        deadline = request.arrival_s + replica.batching.max_wait_s
+        self.sim.push(deadline if deadline >= now else now, DEADLINE, replica)
+
+    def on_event(self, kind: str, payload, now: float) -> None:
         sim = self.sim
-        if sim.faults is not None and sim.faults.active():
-            from repro.cluster.faults import (
-                RetryPolicy,
-                compile_fault_plan,
-                run_faulted,
-            )
+        if kind == DEADLINE:
+            replica = payload
+            if (
+                sim.up[replica.replica_id]
+                and replica.queue
+                and replica.oldest_deadline() <= now + _EPS
+            ):
+                self._dispatch(replica, now, "deadline_dispatches")
+            return
+        replica, group, epoch = payload  # COMPLETION
+        rid = replica.replica_id
+        if epoch != sim.epoch[rid]:
+            return  # the group was aborted by a crash
+        sim.counters["completions"] += 1
+        replica.complete(group)
+        sim.last_end[rid] = now
+        if sim.plan is not None:
+            self.pending[rid].remove(group)
+            sim._record(sim.report, replica, group, sim.attempts)
 
-            last = max((r.arrival_s for r in requests), default=0.0)
-            horizon = (
-                last
-                + sim.faults.crash_downtime_s
-                + sim.faults.straggler_duration_s
-                + 60.0
-            )
-            plan = compile_fault_plan(sim.faults, len(sim.replicas), horizon)
-            return run_faulted(sim, requests, plan, sim.retry or RetryPolicy())
-        return sim._run(requests)
+    def _dispatch(self, replica, now: float, trigger: str) -> None:
+        sim = self.sim
+        rid = replica.replica_id
+        if sim.plan is not None:
+            members = replica.queue[: replica.batching.group_capacity]
+            for request in members:
+                sim.attempts[request.request_id] = (
+                    sim.attempts.get(request.request_id, 0) + 1
+                )
+            if sim.transient_fails(replica, now):
+                del replica.queue[: len(members)]
+                replica.sample_queue_depth(now, len(replica.queue))
+                for request in members:
+                    sim.retry_or_fail(request, now, rid)
+                return
+        sim.counters[trigger] += 1
+        with span("cluster.dispatch", {"replica": rid}):
+            group = replica.dispatch(now)
+        sim.push(group.completion_s, COMPLETION, (replica, group, sim.epoch[rid]))
+        if sim.plan is None:
+            sim._record(sim.report, replica, group)
+        else:
+            self.pending[rid].append(group)
+
+    def abort(self, replica) -> list[Request]:
+        aborted = self.pending[replica.replica_id]
+        if not aborted:
+            return []
+        self.pending[replica.replica_id] = []
+        aborted_ids = {id(g) for g in aborted}
+        replica.groups = [g for g in replica.groups if id(g) not in aborted_ids]
+        for g in aborted:
+            replica.busy_s -= g.completion_s - g.start_s
+            replica.inflight -= len(g.requests)
+            replica.expert_misses -= g.expert_misses
+        return [request for g in aborted for request in g.requests]
+
+    def finish(self, report: ClusterReport, requests: list[Request]) -> None:
+        counters = self.sim.counters
+        counters["dispatched_groups"] = (
+            counters["full_group_dispatches"] + counters["deadline_dispatches"]
+        )
 
 
 @register_scheduler("continuous")
@@ -190,6 +289,15 @@ class ContinuousScheduler(Scheduler):
     """
 
     name = "continuous"
+    counter_names = (
+        "admitted_requests",
+        "decode_steps",
+        "preemptions",
+        "completions",
+    )
+    # With per-step admission a replica's backlog horizon is one decode
+    # step, so the slack signal the group discipline sheds on is absent.
+    sheds_on_slack = False
 
     def __init__(self, sim, *, kv_budget_tokens: int | None = None):
         super().__init__(sim)
@@ -209,35 +317,25 @@ class ContinuousScheduler(Scheduler):
         return max(derived, floor, 1)
 
     def run(self, requests: list[Request]) -> ClusterReport:
-        sim = self.sim
-        replicas = sim.replicas
+        """Calibrate step timing per replica, then run the shared loop.
+
+        Args:
+            requests: the request stream (any order; sorted internally).
+
+        Returns:
+            The continuous-discipline :class:`ClusterReport`.
+        """
+        replicas = self.sim.replicas
         n = len(replicas)
-        report = ClusterReport(router=sim.router.name, slo_s=sim.config.slo_s)
-        events = EventQueue()
-
-        cfg = sim.faults if sim.faults is not None and sim.faults.active() else None
-        plan = None
-        retry = None
-        if cfg is not None:
-            from repro.cluster.faults import RetryPolicy, compile_fault_plan
-
-            last = max((r.arrival_s for r in requests), default=0.0)
-            horizon = (
-                last + cfg.crash_downtime_s + cfg.straggler_duration_s + 60.0
-            )
-            plan = compile_fault_plan(cfg, n, horizon)
-            retry = sim.retry or RetryPolicy()
-        protect_class = cfg.shed_protect_class if cfg is not None else "interactive"
-
         # Per-replica calibration (one group-timing probe each, memoized).
-        caps = [r.batching.group_capacity for r in replicas]
-        streamings = [_streaming(r) for r in replicas]
-        budgets = [
-            self._kv_budget(r, s) for r, s in zip(replicas, streamings)
+        self.caps = [r.batching.group_capacity for r in replicas]
+        self.streamings = [_streaming(r) for r in replicas]
+        self.budgets = [
+            self._kv_budget(r, s) for r, s in zip(replicas, self.streamings)
         ]
-        decode_ref = []
-        prefill_tok_s = []
-        fetch_s = []
+        self.decode_ref = []
+        self.prefill_tok_s = []
+        self.fetch_s = []
         for replica in replicas:
             workload = replica.scenario.workload
             gen_ref = max(workload.gen_len, 1)
@@ -246,412 +344,192 @@ class ContinuousScheduler(Scheduler):
                 workload.prompt_len,
                 workload.gen_len,
             )
-            decode_ref.append(
+            self.decode_ref.append(
                 max(timing.total_s - timing.prefill_s, _EPS) / gen_ref
             )
-            prefill_tok_s.append(
+            self.prefill_tok_s.append(
                 replica.batching.group_capacity
                 * max(workload.prompt_len, 1)
                 / max(timing.prefill_s, _EPS)
             )
-            fetch_s.append(replica.expert_fetch_time_s())
-
+            self.fetch_s.append(replica.expert_fetch_time_s())
         # Per-replica scheduler state, indexed by replica_id.
-        running: list[list[_Active]] = [[] for _ in range(n)]
-        step_pending = [False] * n
-        epoch = [0] * n  # bumped on crash; stale step events are skipped
-        steps = [0] * n  # committed decode steps (ReplicaStats.groups)
-        completed_on = [0] * n
-        last_step_end = [0.0] * n
-        up = [True] * n
-        draining = [False] * n
-        join_s = [0.0] * n
-        drain_s: list[float | None] = [None] * n
-        crash_open_s: list[float | None] = [None] * n
-        down_windows: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        dispatch_seq = [0] * n  # transient-oracle ordinal per replica
-        consec_fail = [0] * n
-        breaker_until = [0.0] * n
-        attempts: dict[int, int] = {}
-        budget_used = 0
+        self.running: list[list[_Active]] = [[] for _ in range(n)]
+        self.step_pending = [False] * n
+        self.steps = [0] * n  # committed decode steps (ReplicaStats.groups)
+        self.completed_on = [0] * n
+        return super().run(requests)
 
-        counters = {
-            "arrivals": 0,
-            "admitted_requests": 0,
-            "decode_steps": 0,
-            "preemptions": 0,
-            "completions": 0,
-        }
-        if cfg is not None:
-            counters.update(
-                crashes=0,
-                recoveries=0,
-                joins=0,
-                drains=0,
-                straggler_windows=0,
-                transient_failures=0,
-                breaker_trips=0,
-                retries_scheduled=0,
-                requeued_from_crash=0,
-                requeued_from_drain=0,
-                shed_requests=0,
-                failed_requests=0,
-                stranded_requests=0,
-            )
-            for t, rid in cfg.joins:
-                up[rid] = False
-                join_s[rid] = t
+    def enqueue(self, replica, request: Request, now: float) -> None:
+        replica.enqueue(request, now)
+        rid = replica.replica_id
+        if not self.step_pending[rid]:
+            # A kick: a boundary at `now` with no step work (admitted is
+            # None), so every same-time arrival is routed before
+            # admission runs — DECODE_STEP ranks last at any timestamp.
+            self.step_pending[rid] = True
+            self.sim.push(now, DECODE_STEP, (rid, self.sim.epoch[rid], 0.0, 0, None))
 
-        for request in sorted(requests, key=lambda r: r.arrival_s):
-            events.push(request.arrival_s, ARRIVAL, request)
-        if plan is not None:
-            for t, kind, rid, value in plan.events:
-                events.push(t, kind, (rid, value))
+    def on_event(self, kind: str, payload, now: float) -> None:
+        rid, epoch, duration, misses, admitted = payload  # DECODE_STEP
+        if epoch != self.sim.epoch[rid]:
+            return  # step aborted by a crash
+        self.step_pending[rid] = False
+        if admitted is not None:
+            self._commit_step(rid, now, duration, misses, admitted)
+        self._boundary(self.sim.replicas[rid], now)
 
-        def terminal(request: Request, now: float, outcome: str, rid: int) -> None:
-            report.records.append(
-                make_record(
-                    request,
-                    rid,
-                    now,
-                    now,
-                    now,
-                    0.0,
-                    outcome,
-                    attempts.get(request.request_id, 0),
-                )
-            )
-            key = "shed_requests" if outcome == "shed" else "failed_requests"
-            counters[key] = counters.get(key, 0) + 1
-
-        def retry_or_fail(request: Request, now: float, rid: int) -> None:
-            nonlocal budget_used
-            done = attempts.get(request.request_id, 0)
-            if retry is None or done >= retry.max_attempts:
-                terminal(request, now, "failed", rid)
-                return
-            if retry.retry_budget > 0 and budget_used >= retry.retry_budget:
-                terminal(request, now, "failed", rid)
-                return
-            budget_used += 1
-            counters["retries_scheduled"] += 1
-            events.push(
-                now + retry.backoff_s(request.request_id, done), RETRY, request
-            )
-
-        def kick(rid: int, now: float) -> None:
-            """Schedule a boundary at ``now`` unless one is pending.
-
-            A kick carries no step work (``admitted is None``); it exists
-            so all same-time arrivals are routed before admission runs —
-            DECODE_STEP is the lowest-ranked kind at any timestamp.
-            """
-            if not step_pending[rid]:
-                step_pending[rid] = True
-                events.push(now, DECODE_STEP, (rid, epoch[rid], 0.0, 0, None))
-
-        def route(request: Request, now: float) -> None:
-            healthy = [
-                rep
-                for i, rep in enumerate(replicas)
-                if up[i] and not draining[i] and breaker_until[i] <= now
-            ]
-            if not healthy:
-                terminal(request, now, "shed", -1)
-                return
-            with span("cluster.route"):
-                replica = sim.router.choose(request, healthy, now)
-            rid = replica.replica_id
-            if cfg is not None and cfg.shed_queue_depth:
-                protected = request.slo_class == protect_class
-                limit = cfg.shed_queue_depth * (2 if protected else 1)
-                if len(replica.queue) >= limit:
-                    terminal(request, now, "shed", rid)
-                    return
-            replica.enqueue(request, now)
-            kick(rid, now)
-
-        def boundary(replica, now: float) -> None:
-            """Preempt, admit, and schedule the next decode step."""
-            rid = replica.replica_id
-            if step_pending[rid] or not up[rid]:
-                return
-            state = running[rid]
-            streaming = streamings[rid]
-            budget = budgets[rid]
-            queue_touched = False
-
-            def used_tokens() -> int:
-                return sum(
-                    _footprint(streaming, e.request.prompt_len + e.generated)
-                    for e in state
-                )
-
-            # Deterministic preemption under KV pressure: non-protected
-            # classes first, latest-admitted first, ties by request id;
-            # never preempt the last running request. Progress is
-            # discarded and the victim rejoins the queue *front*.
-            while len(state) > 1 and used_tokens() > budget:
-                ranked = sorted(
-                    range(len(state)),
-                    key=lambda i: (
-                        state[i].request.slo_class == protect_class,
-                        -i,
-                        -state[i].request.request_id,
-                    ),
-                )
-                victim = state.pop(ranked[0])
-                counters["preemptions"] += 1
-                attempts[victim.request.request_id] = (
-                    attempts.get(victim.request.request_id, 1) - 1
-                )
-                replica.queue.insert(0, victim.request)
-                queue_touched = True
-
-            # Admission: protected class first, FIFO within a class,
-            # head-of-line blocking on the KV budget (an empty batch
-            # force-admits its head so oversized requests cannot starve).
-            admitted: list[_Active] = []
-            if not draining[rid] and replica.queue:
-                candidates = [
-                    r for r in replica.queue if r.slo_class == protect_class
-                ] + [r for r in replica.queue if r.slo_class != protect_class]
-                used = used_tokens()
-                for request in candidates:
-                    if len(state) >= caps[rid]:
-                        break
-                    footprint = _footprint(streaming, request.prompt_len)
-                    if state and used + footprint > budget:
-                        break
-                    replica.queue.remove(request)
-                    queue_touched = True
-                    used += footprint
-                    entry = _Active(request, now)
-                    state.append(entry)
-                    admitted.append(entry)
-                    attempts[request.request_id] = (
-                        attempts.get(request.request_id, 0) + 1
-                    )
-
-            # Transient admission failure (per-boundary oracle, same
-            # breaker semantics as the group loop's per-dispatch one).
-            if admitted and plan is not None:
-                seq = dispatch_seq[rid]
-                dispatch_seq[rid] += 1
-                if plan.transient_fails(rid, seq):
-                    counters["transient_failures"] += 1
-                    consec_fail[rid] += 1
-                    if (
-                        cfg.breaker_threshold
-                        and consec_fail[rid] >= cfg.breaker_threshold
-                    ):
-                        breaker_until[rid] = now + cfg.breaker_cooldown_s
-                        consec_fail[rid] = 0
-                        counters["breaker_trips"] += 1
-                    for entry in admitted:
-                        state.remove(entry)
-                        retry_or_fail(entry.request, now, rid)
-                    admitted = []
-                else:
-                    consec_fail[rid] = 0
-
-            if queue_touched:
-                replica.sample_queue_depth(now, len(replica.queue))
-            replica.inflight = len(state)
-            if not state:
-                return
-            counters["admitted_requests"] += len(admitted)
-            missing = {
-                e.request.hot_expert
-                for e in admitted
-                if e.request.hot_expert is not None
-                and e.request.hot_expert not in replica.resident_experts
-            }
-            duration = (
-                decode_ref[rid] * (len(state) / caps[rid])
-                + sum(e.request.prompt_len for e in admitted)
-                / prefill_tok_s[rid]
-                + len(missing) * fetch_s[rid]
-            ) * replica.slow_factor
-            step_pending[rid] = True
-            replica.free_at = now + duration
-            events.push(
-                now + duration,
-                DECODE_STEP,
-                (rid, epoch[rid], duration, len(missing), admitted),
-            )
-
-        def commit_step(rid: int, now: float, duration, misses, admitted) -> None:
-            replica = replicas[rid]
-            state = running[rid]
-            counters["decode_steps"] += 1
-            steps[rid] += 1
-            replica.busy_s += duration
-            replica.expert_misses += misses
-            last_step_end[rid] = now
-            for entry in admitted:
-                entry.first_token_s = now
-            finished = [
-                entry
-                for entry in state
-                if entry.generated + 1 >= max(entry.request.gen_len, 1)
-            ]
-            for entry in state:
-                entry.generated += 1
-            for entry in finished:
-                state.remove(entry)
-                completed_on[rid] += 1
-                counters["completions"] += 1
-                report.records.append(
-                    make_record(
-                        entry.request,
-                        rid,
-                        entry.admitted_s,
-                        entry.admitted_s,
-                        now,
-                        entry.first_token_s - entry.request.arrival_s,
-                        "completed",
-                        attempts.get(entry.request.request_id, 1),
-                    )
-                )
-            replica.inflight = len(state)
-
-        while events:
-            event = events.pop()
-            now = event.time
-            kind = event.kind
-            if kind == ARRIVAL:
-                counters["arrivals"] += 1
-                route(event.payload, now)
-            elif kind == DECODE_STEP:
-                rid, ev_epoch, duration, misses, admitted = event.payload
-                if ev_epoch != epoch[rid]:
-                    continue  # step aborted by a crash
-                step_pending[rid] = False
-                if admitted is not None:
-                    commit_step(rid, now, duration, misses, admitted)
-                boundary(replicas[rid], now)
-            elif kind == RETRY:
-                route(event.payload, now)
-            elif kind == CRASH:
-                rid, recover_at = event.payload
-                replica = replicas[rid]
-                if not up[rid] or draining[rid]:
-                    continue  # stale: replica already down or leaving
-                up[rid] = False
-                crash_open_s[rid] = now
-                counters["crashes"] += 1
-                epoch[rid] += 1
-                step_pending[rid] = False
-                victims_running = running[rid][:]
-                running[rid].clear()
-                replica.inflight = 0
-                victims_queued = replica.queue[:]
-                replica.queue.clear()
-                replica.sample_queue_depth(now, 0)
-                replica.free_at = recover_at
-                counters["requeued_from_crash"] += len(victims_running) + len(
-                    victims_queued
-                )
-                # In-flight work consumed its admission attempt; queued
-                # work did not and re-routes immediately.
-                for entry in victims_running:
-                    retry_or_fail(entry.request, now, rid)
-                for request in victims_queued:
-                    route(request, now)
-            elif kind == RECOVER:
-                rid, _ = event.payload
-                if crash_open_s[rid] is None:
-                    continue
-                up[rid] = True
-                down_windows[rid].append((crash_open_s[rid], now))
-                crash_open_s[rid] = None
-                counters["recoveries"] += 1
-            elif kind == JOIN:
-                rid, _ = event.payload
-                up[rid] = True
-                replicas[rid].free_at = max(replicas[rid].free_at, now)
-                counters["joins"] += 1
-            elif kind == DRAIN:
-                rid, _ = event.payload
-                replica = replicas[rid]
-                if draining[rid]:
-                    continue
-                draining[rid] = True
-                drain_s[rid] = now
-                counters["drains"] += 1
-                victims = replica.queue[:]
-                replica.queue.clear()
-                replica.sample_queue_depth(now, 0)
-                counters["requeued_from_drain"] += len(victims)
-                for request in victims:
-                    route(request, now)
-            elif kind == SLOW_START:
-                rid, factor = event.payload
-                replicas[rid].slow_factor = factor
-                counters["straggler_windows"] += 1
-            elif kind == SLOW_END:
-                rid, _ = event.payload
-                replicas[rid].slow_factor = 1.0
-
-        # Defensive flush: the loop should drain every queue and batch;
-        # anything left is a conservation bug surfaced as a counted
-        # terminal record rather than a silently lost request.
-        for rid, replica in enumerate(replicas):
-            for request in replica.queue:
-                terminal(request, replica.free_at, "failed", rid)
-                counters["stranded_requests"] = (
-                    counters.get("stranded_requests", 0) + 1
-                )
-            replica.queue.clear()
-            for entry in running[rid]:
-                terminal(entry.request, replica.free_at, "failed", rid)
-                counters["stranded_requests"] = (
-                    counters.get("stranded_requests", 0) + 1
-                )
-            running[rid].clear()
-            replica.slow_factor = 1.0
-
-        report.makespan_s = max(
-            (r.completion_s for r in report.records), default=0.0
+    def _boundary(self, replica, now: float) -> None:
+        """Preempt, admit, and schedule the next decode step."""
+        sim = self.sim
+        rid = replica.replica_id
+        if self.step_pending[rid] or not sim.up[rid]:
+            return
+        plan = sim.plan
+        protect_class = (
+            plan.config.shed_protect_class if plan is not None else "interactive"
         )
+        attempts = sim.attempts
+        state = self.running[rid]
+        streaming = self.streamings[rid]
+        budget = self.budgets[rid]
+        queue_touched = False
+
+        def used_tokens() -> int:
+            return sum(
+                _footprint(streaming, e.request.prompt_len + e.generated)
+                for e in state
+            )
+
+        # Deterministic preemption under KV pressure: non-protected
+        # classes first, latest-admitted first, ties by request id;
+        # never preempt the last running request. Progress is
+        # discarded and the victim rejoins the queue *front*.
+        while len(state) > 1 and used_tokens() > budget:
+            ranked = sorted(
+                range(len(state)),
+                key=lambda i: (
+                    state[i].request.slo_class == protect_class,
+                    -i,
+                    -state[i].request.request_id,
+                ),
+            )
+            victim = state.pop(ranked[0])
+            sim.counters["preemptions"] += 1
+            attempts[victim.request.request_id] = (
+                attempts.get(victim.request.request_id, 1) - 1
+            )
+            replica.queue.insert(0, victim.request)
+            queue_touched = True
+
+        # Admission: protected class first, FIFO within a class,
+        # head-of-line blocking on the KV budget (an empty batch
+        # force-admits its head so oversized requests cannot starve).
+        admitted: list[_Active] = []
+        if not sim.draining[rid] and replica.queue:
+            candidates = [
+                r for r in replica.queue if r.slo_class == protect_class
+            ] + [r for r in replica.queue if r.slo_class != protect_class]
+            used = used_tokens()
+            cap = self.caps[rid]
+            for request in candidates:
+                if len(state) >= cap:
+                    break
+                footprint = _footprint(streaming, request.prompt_len)
+                if state and used + footprint > budget:
+                    break
+                replica.queue.remove(request)
+                queue_touched = True
+                used += footprint
+                entry = _Active(request, now)
+                state.append(entry)
+                admitted.append(entry)
+                attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
+
+        # Transient admission failure: the same per-dispatch oracle and
+        # breaker as the group discipline, drawn per admitting boundary.
+        if admitted and plan is not None and sim.transient_fails(replica, now):
+            for entry in admitted:
+                state.remove(entry)
+                sim.retry_or_fail(entry.request, now, rid)
+            admitted = []
+
+        if queue_touched:
+            replica.sample_queue_depth(now, len(replica.queue))
+        replica.inflight = len(state)
+        if not state:
+            return
+        sim.counters["admitted_requests"] += len(admitted)
+        missing = {
+            e.request.hot_expert
+            for e in admitted
+            if e.request.hot_expert is not None
+            and e.request.hot_expert not in replica.resident_experts
+        }
+        duration = (
+            self.decode_ref[rid] * (len(state) / self.caps[rid])
+            + sum(e.request.prompt_len for e in admitted) / self.prefill_tok_s[rid]
+            + len(missing) * self.fetch_s[rid]
+        ) * replica.slow_factor
+        self.step_pending[rid] = True
+        replica.free_at = now + duration
+        sim.push(
+            now + duration,
+            DECODE_STEP,
+            (rid, sim.epoch[rid], duration, len(missing), admitted),
+        )
+
+    def _commit_step(self, rid: int, now: float, duration, misses, admitted) -> None:
+        sim = self.sim
+        replica = sim.replicas[rid]
+        state = self.running[rid]
+        sim.counters["decode_steps"] += 1
+        self.steps[rid] += 1
+        replica.busy_s += duration
+        replica.expert_misses += misses
+        sim.last_end[rid] = now
+        for entry in admitted:
+            entry.first_token_s = now
+        finished = [
+            entry
+            for entry in state
+            if entry.generated + 1 >= max(entry.request.gen_len, 1)
+        ]
+        for entry in state:
+            entry.generated += 1
+        for entry in finished:
+            state.remove(entry)
+            self.completed_on[rid] += 1
+            sim.counters["completions"] += 1
+            sim.report.records.append(
+                make_record(
+                    entry.request,
+                    rid,
+                    entry.admitted_s,
+                    entry.admitted_s,
+                    now,
+                    entry.first_token_s - entry.request.arrival_s,
+                    "completed",
+                    sim.attempts.get(entry.request.request_id, 1),
+                )
+            )
+        replica.inflight = len(state)
+
+    def abort(self, replica) -> list[Request]:
+        rid = replica.replica_id
+        self.step_pending[rid] = False
+        victims = self.running[rid]
+        self.running[rid] = []
+        replica.inflight = 0
+        return [entry.request for entry in victims]
+
+    def served(self, replica) -> tuple[int, int]:
+        rid = replica.replica_id
+        return self.completed_on[rid], self.steps[rid]
+
+    def finish(self, report: ClusterReport, requests: list[Request]) -> None:
         report.scheduler = self.name
         report.slo_class_targets = {
-            cls: sim.config.slo_s * SLO_CLASS_TARGETS.get(cls, 1.0)
+            cls: self.sim.config.slo_s * SLO_CLASS_TARGETS.get(cls, 1.0)
             for cls in sorted({r.slo_class for r in requests})
         }
-        report.replicas = [
-            ReplicaStats(
-                replica_id=replica.replica_id,
-                hardware=replica.hardware_name,
-                system=replica.system_name,
-                requests=completed_on[rid],
-                groups=steps[rid],
-                busy_s=replica.busy_s,
-                expert_misses=replica.expert_misses,
-                resident_experts=tuple(sorted(replica.resident_experts)),
-                queue_depth_timeline=list(replica.queue_depth_timeline),
-            )
-            for rid, replica in enumerate(replicas)
-        ]
-        if cfg is not None:
-            from repro.cluster.faults import finalize_availability
-
-            drain_bill_end = [
-                max(drain_s[rid], last_step_end[rid])
-                if drain_s[rid] is not None
-                else None
-                for rid in range(n)
-            ]
-            finalize_availability(
-                report,
-                crash_open_s,
-                down_windows,
-                join_s,
-                drain_bill_end,
-                counters["retries_scheduled"],
-            )
-        report.counters = counters
-        for name, value in counters.items():
-            count(f"cluster.{name}", value)
-        return report

@@ -51,6 +51,7 @@ from repro.api import (
     build_scenario,
     build_system,
     router_names,
+    scheduler_names,
     run_cluster,
 )
 from repro.errors import OutOfMemoryError, ReproError
@@ -585,8 +586,9 @@ def random_cluster_run_config(
     Args:
         rng: the case's seeded generator.
         case_seed: the case's seed (pins the fleet's scenario seed).
-        chaos: also sample a fault model and retry policy into the
-            ``cluster`` section (the ``validate --chaos`` campaign).
+        chaos: also sample a fault model, a retry policy and the
+            dispatch discipline into the ``cluster`` section (the
+            ``validate --chaos`` campaign).
 
     Returns:
         A :class:`~repro.api.RunConfig` with ``cluster`` and ``serve``
@@ -617,6 +619,12 @@ def random_cluster_run_config(
         retry=random_retry_config(rng) if chaos else {},
     )
     serve = random_serve_config(rng, model)
+    if chaos:
+        # Drawn last so a case seed replays the same fleet, fault plan
+        # and stream it did before the discipline joined the draw.
+        cluster = dataclasses.replace(
+            cluster, scheduler=str(rng.choice(scheduler_names()))
+        )
     return RunConfig(scenario=scenario, cluster=cluster, serve=serve)
 
 
@@ -648,7 +656,7 @@ def run_cluster_case(
     kind = "chaos" if chaos else "cluster"
     tag = (
         f"{kind} {label or f'case-seed={case_seed}'} "
-        f"router={config.cluster.router}"
+        f"router={config.cluster.router} scheduler={config.cluster.scheduler}"
     )
     report.cluster_cases += 1
     requests = build_requests(config)

@@ -38,6 +38,7 @@ from repro.cluster import (
 )
 from repro.cluster.routers import make_router
 from repro.serving.requests import Request
+from repro.serving.scheduler import ContinuousScheduler, GroupScheduler
 from repro.serving.server import BatchingConfig
 from repro.systems import InferenceSystem
 from repro.validation import check_cluster
@@ -98,12 +99,13 @@ def simulate(
     retry: RetryPolicy | None = None,
     router: str = "least-outstanding",
     engine: str = "serial",
+    scheduler: str = "group",
 ):
     requests = build_requests(spec)
     simulator = ClusterSimulator(
         build_fleet(n_replicas),
         make_router(router),
-        ClusterConfig(slo_s=30.0),
+        ClusterConfig(slo_s=30.0, scheduler=scheduler),
         faults=faults,
         retry=retry,
     )
@@ -249,14 +251,26 @@ def test_transient_oracle_is_deterministic():
     assert any(draws) and not all(draws)
 
 
-def test_fleet_reuse_raises():
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda sim: sim.run, id="simulator"),
+        pytest.param(lambda sim: GroupScheduler(sim).run, id="group-scheduler"),
+        pytest.param(
+            lambda sim: ContinuousScheduler(sim).run, id="continuous-scheduler"
+        ),
+    ],
+)
+def test_fleet_reuse_raises(entry):
+    # Every entry point shares the one event loop, and with it the guard:
+    # a second stream on the same fleet would build on dirty replica state.
     simulator = ClusterSimulator(
         build_fleet(2), make_router("round-robin"), ClusterConfig(slo_s=30.0)
     )
     requests = build_requests([(0.0, 32, 2), (0.5, 32, 2)])
-    simulator.run(requests)
+    entry(simulator)(requests)
     with pytest.raises(RuntimeError, match="already served"):
-        simulator.run(requests)
+        entry(simulator)(requests)
 
 
 def test_used_replicas_raise_even_on_a_fresh_simulator():
@@ -344,6 +358,20 @@ def test_crashed_replica_bills_only_up_time():
         assert stats.up_time_s < report.makespan_s
     assert 0.0 < report.availability["availability"] < 1.0
     assert report.cost_usd() > 0.0
+
+
+@pytest.mark.parametrize("scheduler", ["group", "continuous"])
+def test_drained_replica_bills_until_its_in_flight_work_ends(scheduler):
+    # Replica 1 drains while its first work is in flight: it admits
+    # nothing more but finishes that work, and bills until it ends.
+    faults = FaultConfig(drains=((0.05, 1),))
+    report, requests = simulate(
+        [(0.0, 32, 2)] * 8, 2, faults, router="round-robin", scheduler=scheduler
+    )
+    assert not check_cluster(report, requests)
+    last = max(r.completion_s for r in report.records if r.replica_id == 1)
+    assert last > 0.05
+    assert report.replicas[1].up_time_s == last
 
 
 def test_availability_summary_counts_match_records():
