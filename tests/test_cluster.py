@@ -20,10 +20,13 @@ from repro.cluster import (
 from repro.serving import (
     ArrivalConfig,
     BatchingConfig,
+    BurstyConfig,
     Request,
     assign_hot_experts,
+    generate_bursty,
     generate_requests,
 )
+from repro.serving.server import group_shape
 
 BATCHING = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=20.0)
 ROUTER_NAMES = ["round-robin", "least-outstanding", "expert-affinity"]
@@ -237,6 +240,120 @@ class TestSimulatorInvariants:
             assert record.dispatch_s == pytest.approx(
                 oldest + BATCHING.max_wait_s
             )
+
+
+def naive_group_loop(requests, batching, group_time):
+    """Single-machine reference for the group discipline.
+
+    One FIFO queue feeds one machine. A group dispatches when it is full
+    (at the arrival of its last member) or when its oldest request has
+    waited ``max_wait_s``, whichever comes first; an arrival at exactly
+    the deadline still joins the group. The group starts once the
+    machine is free. ``group_time(n_batches, prompt_len, gen_len)``
+    returns the group's ``(total_s, prefill_s)``.
+
+    Returns ``({request_id: (start_s, completion_s, ttft_s)}, makespan_s,
+    busy_s)``.
+    """
+    timings = {}
+    queue = []
+    pending = sorted(requests, key=lambda r: r.arrival_s)
+    capacity = batching.group_capacity
+    machine_free = busy = 0.0
+    idx = 0
+
+    def dispatch(now):
+        nonlocal machine_free, busy
+        group = queue[:capacity]
+        del queue[:capacity]
+        total, prefill = group_time(*group_shape(group, batching.batch_size))
+        start = max(now, machine_free)
+        machine_free = start + total
+        busy += total
+        for r in group:
+            timings[r.request_id] = (
+                start, machine_free, start + prefill - r.arrival_s,
+            )
+
+    while idx < len(pending) or queue:
+        if len(queue) >= capacity:
+            dispatch(queue[capacity - 1].arrival_s)
+            continue
+        deadline = (
+            queue[0].arrival_s + batching.max_wait_s if queue else float("inf")
+        )
+        next_arrival = (
+            pending[idx].arrival_s if idx < len(pending) else float("inf")
+        )
+        if next_arrival <= deadline:
+            queue.append(pending[idx])
+            idx += 1
+        else:
+            dispatch(deadline)
+    return timings, machine_free, busy
+
+
+def reference_streams():
+    """Seeded untagged streams: Poisson with and without prompt spread
+    at light and heavy load, plus one bursty stream."""
+    streams = {}
+    for spread in (0.0, 0.25):
+        for rate in (0.5, 4.0, 40.0):
+            for seed in (0, 1):
+                streams[f"poisson-{spread}-{rate}-{seed}"] = generate_requests(
+                    ArrivalConfig(
+                        rate_per_s=rate, prompt_len_mean=32,
+                        prompt_len_spread=spread, gen_len=4, seed=seed,
+                    ),
+                    30,
+                )
+    streams["bursty"] = generate_bursty(
+        BurstyConfig(
+            base_rate_per_s=0.2, burst_rate_per_s=20.0, prompt_len_mean=32,
+            gen_len=4, seed=3,
+        ),
+        40,
+    )
+    return streams
+
+
+class TestSingleMachineReference:
+    """A one-replica fleet reproduces the naive single-machine group loop
+    exactly: same per-request timing, makespan and busy time."""
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 2, 30.0), (4, 1, 5.0), (4, 4, 1.0)],
+        ids=lambda s: "x".join(str(v) for v in s),
+    )
+    def test_one_replica_matches_naive_loop(self, small_mixtral, hw, shape):
+        batch_size, group_batches, max_wait_s = shape
+        batching = BatchingConfig(
+            batch_size=batch_size, group_batches=group_batches,
+            max_wait_s=max_wait_s,
+        )
+        for name, requests in reference_streams().items():
+            replicas = build_cluster(
+                small_mixtral, [hw], batching,
+                prompt_len=32, gen_len=4, prompt_quantum=1,
+            )
+
+            def group_time(n_batches, prompt_len, gen_len):
+                timing = replicas[0]._group_timing(n_batches, prompt_len, gen_len)
+                return timing.total_s, timing.prefill_s
+
+            expected, makespan_s, busy_s = naive_group_loop(
+                requests, batching, group_time
+            )
+            report = ClusterSimulator(
+                replicas, make_router("round-robin"), ClusterConfig()
+            ).run(requests)
+            got = {
+                r.request.request_id: (r.start_s, r.completion_s, r.ttft_s)
+                for r in report.records
+            }
+            assert got == expected, name
+            assert report.makespan_s == makespan_s, name
+            assert report.replicas[0].busy_s == busy_s, name
 
 
 class TestDeterminism:
