@@ -21,12 +21,14 @@ from common import SCENARIO_BY_KEY
 
 from conftest import record_report
 
+from repro.api import RunConfig, run_cluster
 from repro.baselines import MixtralOffloadingSystem, SiDASystem
 from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.core.engine import KlotskiOptions, KlotskiSystem
+from repro.experiments.paper import PROMPT_LEN, SEED
 from repro.model.config import MIXTRAL_8X7B
 from repro.model.evaluation import compare_compression
-from repro.serving import ArrivalConfig, BatchingConfig, Server, generate_requests
+from repro.serving import ArrivalConfig, generate_requests
 
 
 class TestFutureWorkSparseKV:
@@ -116,8 +118,6 @@ class TestServing:
         """Bigger batch groups raise serving throughput at a latency cost."""
 
         def run():
-            eval_scenario = SCENARIO_BY_KEY["8x7b-env1"]
-            scenario = eval_scenario.scenario(8, gen_len=8)
             requests = generate_requests(
                 ArrivalConfig(rate_per_s=2.0, prompt_len_mean=512,
                               prompt_len_spread=0.0, gen_len=8, seed=3),
@@ -125,22 +125,30 @@ class TestServing:
             )
             reports = {}
             for group_batches in (1, 4):
-                server = Server(
-                    scenario,
-                    KlotskiSystem(),
-                    # The wait bound is load-matched: partial groups now
-                    # dispatch at the deadline proper (not at the next
-                    # arrival), so an oversized bound would idle the tail.
-                    BatchingConfig(
-                        batch_size=8, group_batches=group_batches, max_wait_s=30.0
-                    ),
-                )
-                reports[group_batches] = server.simulate(requests)
+                # One machine is a one-replica fleet. The wait bound is
+                # load-matched: partial groups dispatch at the deadline
+                # proper, so an oversized bound would idle the tail.
+                config = RunConfig.from_dict({
+                    "scenario": {
+                        "model": "mixtral-8x7b", "env": "env1", "batch_size": 8,
+                        "prompt_len": PROMPT_LEN, "gen_len": 8, "seed": SEED,
+                    },
+                    "cluster": {
+                        "replicas": 1, "router": "round-robin",
+                        "group_batches": group_batches, "max_wait_s": 30.0,
+                        "prompt_quantum": 1,
+                    },
+                })
+                reports[group_batches] = run_cluster(config, requests=requests)
             return reports
 
         reports = benchmark.pedantic(run, rounds=1, iterations=1)
         lines = [
-            f"group of {n} batches: {r.summary()}" for n, r in reports.items()
+            f"group of {n} batches: {len(r.records)} requests, "
+            f"{r.throughput:.2f} tok/s, mean latency {r.mean_latency_s:.1f} s, "
+            f"p95 {r.percentile_latency(95):.1f} s, "
+            f"TTFT p95 {r.percentile_ttft(95):.1f} s"
+            for n, r in reports.items()
         ]
         record_report("extension_serving", "\n".join(lines))
         assert reports[4].throughput > reports[1].throughput

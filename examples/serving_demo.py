@@ -11,17 +11,12 @@ Usage::
 
 import sys
 
-from repro import KlotskiSystem, Scenario, Workload
-from repro.hardware.spec import ENV1
-from repro.model.config import MIXTRAL_8X7B
-from repro.serving import ArrivalConfig, BatchingConfig, Server, generate_requests
+from repro.api import RunConfig, run_cluster
+from repro.serving import ArrivalConfig, generate_requests
 
 
 def main() -> None:
     rate = float(sys.argv[1]) if len(sys.argv) > 1 else 2.0
-    scenario = Scenario(
-        MIXTRAL_8X7B, ENV1, Workload(8, 1, prompt_len=512, gen_len=8), seed=0
-    )
     requests = generate_requests(
         ArrivalConfig(
             rate_per_s=rate, prompt_len_mean=512, prompt_len_spread=0.0,
@@ -29,16 +24,24 @@ def main() -> None:
         ),
         count=48,
     )
-    print(f"serving 48 requests arriving at {rate:.1f} req/s on {ENV1.name}\n")
+    print(f"serving 48 requests arriving at {rate:.1f} req/s on env1-rtx3090\n")
     print(f"{'group size':>10} {'tok/s':>8} {'mean lat':>10} {'p50':>8} {'p95':>8} {'queue':>8}")
     for group_batches in (1, 2, 4, 8):
-        server = Server(
-            scenario,
-            KlotskiSystem(),
-            BatchingConfig(batch_size=8, group_batches=group_batches, max_wait_s=30.0),
-        )
-        report = server.simulate(requests)
-        mean_queue = sum(c.queueing_s for c in report.completed) / len(report.completed)
+        # One machine is a one-replica fleet; prompt_quantum=1 times each
+        # group at its exact prompt length.
+        config = RunConfig.from_dict({
+            "scenario": {
+                "model": "mixtral-8x7b", "env": "env1", "batch_size": 8,
+                "prompt_len": 512, "gen_len": 8, "seed": 0,
+            },
+            "cluster": {
+                "replicas": 1, "router": "round-robin",
+                "group_batches": group_batches, "max_wait_s": 30.0,
+                "prompt_quantum": 1,
+            },
+        })
+        report = run_cluster(config, requests=requests)
+        mean_queue = sum(r.queueing_s for r in report.records) / len(report.records)
         print(
             f"{group_batches:>10} {report.throughput:>8.2f} "
             f"{report.mean_latency_s:>9.1f}s {report.percentile_latency(50):>7.1f}s "

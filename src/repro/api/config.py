@@ -28,6 +28,7 @@ cache, golden traces, and fuzzer replay blobs all hash it directly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -664,8 +665,16 @@ class ClusterConfig:
         checks = (
             ("replicas", self.replicas >= 1, "must be >= 1"),
             ("group_batches", self.group_batches >= 1, "must be >= 1"),
-            ("max_wait_s", self.max_wait_s > 0, "must be positive"),
-            ("slo_s", self.slo_s > 0, "must be positive"),
+            (
+                "max_wait_s",
+                math.isfinite(self.max_wait_s) and self.max_wait_s > 0,
+                "must be finite and positive",
+            ),
+            (
+                "slo_s",
+                math.isfinite(self.slo_s) and self.slo_s > 0,
+                "must be finite and positive",
+            ),
             ("prompt_quantum", self.prompt_quantum >= 1, "must be >= 1"),
             (
                 "expert_slots_per_replica",

@@ -1,11 +1,11 @@
 """Multi-replica cluster serving: routing, group formation, SLO accounting.
 
-The scaling layer above the single-machine serving simulation: N replicas
-(any :class:`~repro.systems.InferenceSystem`, heterogeneous hardware) serve
-one request stream behind a pluggable router, driven by a discrete-event
-loop (arrivals, batching deadlines, completions in one heap). Results roll
-up into a :class:`ClusterReport` with TTFT/latency percentiles, goodput
-under an SLO, per-replica utilization, and cost-per-token.
+N replicas (any :class:`~repro.systems.InferenceSystem`, heterogeneous
+hardware; one replica models a single machine) serve one request stream
+behind a pluggable router, driven by a discrete-event loop (arrivals,
+batching deadlines, completions in one heap). Results roll up into a
+:class:`ClusterReport` with TTFT/latency percentiles, goodput under an
+SLO, per-replica utilization, and cost-per-token.
 
 Fault tolerance (:mod:`repro.cluster.faults`): a seeded
 :class:`FaultConfig` compiles into a deterministic :class:`FaultPlan` of

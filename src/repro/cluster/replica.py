@@ -2,7 +2,7 @@
 
 A replica owns a FIFO request queue and a single batch-group execution slot
 (the underlying :class:`~repro.systems.InferenceSystem` processes one group
-at a time, exactly like the single-machine :class:`~repro.serving.Server`).
+at a time); a one-replica fleet is the single-machine server.
 Group processing times come from running the wrapped system on the
 replica's scenario and are memoized in a cluster-shared cache keyed by
 (hardware, model, system, group shape); prompt lengths are bucketed to

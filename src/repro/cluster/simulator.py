@@ -15,10 +15,9 @@ availability; the discipline (:mod:`repro.serving.scheduler`) decides
 what happens to a routed request. Under the default ``group``
 discipline a full group dispatches immediately, otherwise a deadline
 event guarantees the partial group dispatches at exactly
-``oldest.arrival_s + max_wait_s`` — the continuous group-formation loop
-that replaces the serial batch-wait logic of the single-machine server.
-Deadlines are validated lazily, so stale ones (their group already
-dispatched) are no-ops.
+``oldest.arrival_s + max_wait_s``. Deadlines are validated lazily, so
+stale ones (their group already dispatched) are no-ops. A one-replica
+fleet is the single-machine server.
 
 Expert residency: when ``partition_experts`` is on, the fleet pins hot
 experts (popularity-rank order, :mod:`repro.routing.popularity`) round-robin
@@ -31,6 +30,7 @@ reproduces byte-identical reports across router policies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.api.registry import SCHEDULERS
@@ -111,8 +111,8 @@ class ClusterConfig:
     scheduler: str = "group"  # dispatch discipline (SCHEDULERS registry)
 
     def __post_init__(self):
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
+        if not (math.isfinite(self.slo_s) and self.slo_s > 0):
+            raise ValueError("slo_s must be finite and positive")
 
 
 def build_cluster(

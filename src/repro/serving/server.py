@@ -1,23 +1,20 @@
-"""Serving-layer simulation: request stream -> batch groups -> pipeline.
+"""Batch-group formation: the group policy and the shape of one group.
 
-Forms batch groups from an incoming request stream (FIFO batching with a
-wait-time bound), dispatches each group to an inference system, and tracks
-per-request latency. This exercises Klotski's throughput-oriented design
-under serving conditions: larger groups amortize weight I/O but delay early
-requests — exactly the throughput/latency trade-off of Figure 11.
+A replica batches its FIFO request queue into groups of up to
+``batch_size * group_batches`` requests and dispatches a group when it is
+full or when its oldest request has waited ``max_wait_s``. Larger groups
+amortize weight I/O but delay early requests — the throughput/latency
+trade-off of Figure 11. The group discipline itself runs in the cluster
+event loop (:mod:`repro.serving.scheduler`); one machine is a one-replica
+fleet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.obs import count, span
-from repro.routing.workload import Workload
-from repro.scenario import Scenario
 from repro.serving.requests import Request
-from repro.systems import InferenceSystem
 
 
 @dataclass(frozen=True)
@@ -31,8 +28,8 @@ class BatchingConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.group_batches < 1:
             raise ValueError("batch_size and group_batches must be >= 1")
-        if self.max_wait_s <= 0:
-            raise ValueError("max_wait_s must be positive")
+        if not (math.isfinite(self.max_wait_s) and self.max_wait_s > 0):
+            raise ValueError("max_wait_s must be finite and positive")
 
     @property
     def group_capacity(self) -> int:
@@ -43,202 +40,9 @@ def group_shape(group: list[Request], batch_size: int) -> tuple[int, int, int]:
     """``(n_batches, prompt_len, gen_len)`` of one dispatched batch group.
 
     The group runs as ``ceil(len(group) / batch_size)`` batches padded to
-    the longest prompt and generation length it contains. Shared by the
-    single-machine server and the cluster replicas so both simulators
-    model group formation identically.
+    the longest prompt and generation length it contains.
     """
     n_batches = max(1, -(-len(group) // batch_size))
     prompt = max(r.prompt_len for r in group)
     gen = max(r.gen_len for r in group)
     return n_batches, prompt, gen
-
-
-@dataclass(frozen=True)
-class CompletedRequest:
-    request: Request
-    dispatch_s: float
-    completion_s: float
-    # Arrival -> first output token (dispatch + group prefill). Defaults
-    # to 0.0 so hand-built records in older call sites stay valid.
-    ttft_s: float = 0.0
-
-    @property
-    def latency_s(self) -> float:
-        return self.completion_s - self.request.arrival_s
-
-    @property
-    def queueing_s(self) -> float:
-        return self.dispatch_s - self.request.arrival_s
-
-
-@dataclass
-class ServingReport:
-    """Aggregate serving metrics."""
-
-    completed: list[CompletedRequest] = field(default_factory=list)
-    busy_s: float = 0.0
-    makespan_s: float = 0.0
-
-    def invalidate_metrics(self) -> None:
-        """Mark cached metric arrays stale after an in-place mutation."""
-        self.__dict__["_dirty_tick"] = self.__dict__.get("_dirty_tick", 0) + 1
-
-    def _metrics(self) -> dict:
-        """Latency/TTFT arrays built once per record set.
-
-        Same pattern as ``ClusterReport._metrics``: the cache lives in an
-        undeclared instance attribute (dataclass ``__eq__`` is
-        unaffected), keyed on the record count plus an explicit dirty
-        tick for count-preserving mutations, so ``percentile_*`` and the
-        mean properties stop rebuilding the full array on every call.
-        """
-        tick = self.__dict__.get("_dirty_tick", 0)
-        cache = self.__dict__.get("_metric_cache")
-        if (
-            cache is not None
-            and cache["n"] == len(self.completed)
-            and cache["tick"] == tick
-        ):
-            return cache
-        cache = {
-            "n": len(self.completed),
-            "tick": tick,
-            "latencies": np.array([c.latency_s for c in self.completed]),
-            "ttfts": np.array([c.ttft_s for c in self.completed]),
-            "tokens": sum(c.request.gen_len for c in self.completed),
-        }
-        self.__dict__["_metric_cache"] = cache
-        return cache
-
-    def latencies(self) -> np.ndarray:
-        return self._metrics()["latencies"]
-
-    def ttfts(self) -> np.ndarray:
-        return self._metrics()["ttfts"]
-
-    def percentile_latency(self, q: float) -> float:
-        if not self.completed:
-            return 0.0
-        return float(np.percentile(self.latencies(), q))
-
-    def percentile_ttft(self, q: float) -> float:
-        if not self.completed:
-            return 0.0
-        return float(np.percentile(self.ttfts(), q))
-
-    @property
-    def mean_latency_s(self) -> float:
-        if not self.completed:
-            return 0.0
-        return float(self.latencies().mean())
-
-    @property
-    def mean_ttft_s(self) -> float:
-        if not self.completed:
-            return 0.0
-        return float(self.ttfts().mean())
-
-    @property
-    def throughput(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self._metrics()["tokens"] / self.makespan_s
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.completed)} requests, {self.throughput:.2f} tok/s, "
-            f"mean latency {self.mean_latency_s:.1f} s, "
-            f"p95 {self.percentile_latency(95):.1f} s, "
-            f"TTFT p95 {self.percentile_ttft(95):.1f} s"
-        )
-
-
-class Server:
-    """Serial dispatch of batch groups to one inference system."""
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        system: InferenceSystem,
-        batching: BatchingConfig | None = None,
-    ):
-        self.scenario = scenario
-        self.system = system
-        self.batching = batching or BatchingConfig()
-        # Group (total, prefill) times are memoized by (n_batches, prompt,
-        # gen): the simulated machine is deterministic per scenario seed.
-        self._group_time_cache: dict[tuple[int, int, int], tuple[float, float]] = {}
-
-    def _group_time(
-        self, n_batches: int, prompt_len: int, gen_len: int
-    ) -> tuple[float, float]:
-        """``(total_s, prefill_s)`` of one group shape on this machine."""
-        key = (n_batches, prompt_len, gen_len)
-        if key not in self._group_time_cache:
-            count("memo.server_group_time.miss")
-            with span("server.group_time", {"n_batches": n_batches}):
-                workload = Workload(
-                    self.batching.batch_size, n_batches, prompt_len, gen_len
-                )
-                result = self.system.run(self.scenario.with_workload(workload))
-            self._group_time_cache[key] = (
-                result.metrics.total_time_s,
-                result.metrics.prefill_time_s,
-            )
-        else:
-            count("memo.server_group_time.hit")
-        return self._group_time_cache[key]
-
-    def simulate(self, requests: list[Request]) -> ServingReport:
-        """Process a request stream; returns per-request and aggregate
-        metrics. Groups are dispatched when full or when the oldest queued
-        request has waited ``max_wait_s`` — the deadline fires at
-        ``oldest.arrival_s + max_wait_s`` even when no further arrival
-        advances the clock."""
-        report = ServingReport()
-        queue: list[Request] = []
-        pending = sorted(requests, key=lambda r: r.arrival_s)
-        machine_free = 0.0
-        capacity = self.batching.group_capacity
-        idx = 0
-
-        def dispatch(now: float) -> float:
-            nonlocal machine_free
-            group = queue[:capacity]
-            del queue[:capacity]
-            n_batches, prompt, gen = group_shape(group, self.batching.batch_size)
-            start = max(now, machine_free)
-            duration, prefill = self._group_time(n_batches, prompt, gen)
-            machine_free = start + duration
-            for request in group:
-                report.completed.append(
-                    CompletedRequest(
-                        request,
-                        start,
-                        machine_free,
-                        start + prefill - request.arrival_s,
-                    )
-                )
-            report.busy_s += duration
-            return machine_free
-
-        while idx < len(pending) or queue:
-            if len(queue) >= capacity:
-                # The group filled at the arrival of its newest member.
-                dispatch(queue[capacity - 1].arrival_s)
-                continue
-            deadline = (
-                queue[0].arrival_s + self.batching.max_wait_s
-                if queue
-                else float("inf")
-            )
-            next_arrival = (
-                pending[idx].arrival_s if idx < len(pending) else float("inf")
-            )
-            if next_arrival <= deadline:
-                queue.append(pending[idx])
-                idx += 1
-            else:
-                dispatch(deadline)
-        report.makespan_s = machine_free
-        return report

@@ -183,7 +183,12 @@ class TestAggregatedErrors:
                 {
                     "scenario": {"model": "nope", "batch_size": 0, "gen_len": -1},
                     "system": {"name": "warp-drive"},
-                    "cluster": {"replicas": 0, "router": "nope"},
+                    "cluster": {
+                        "replicas": 0,
+                        "router": "nope",
+                        "max_wait_s": float("inf"),
+                        "slo_s": float("nan"),
+                    },
                     "serve": {"arrival": "nope", "requests": 0},
                 }
             )
@@ -197,6 +202,8 @@ class TestAggregatedErrors:
             "system.name",
             "cluster.replicas",
             "cluster.router",
+            "cluster.max_wait_s: must be finite and positive",
+            "cluster.slo_s: must be finite and positive",
             "serve.arrival",
             "serve.requests",
         ):

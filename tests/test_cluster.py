@@ -216,7 +216,7 @@ class TestSimulatorInvariants:
         for record in report.records:
             assert record.start_s >= record.request.arrival_s
             assert record.completion_s > record.start_s
-            assert record.ttft_s <= record.latency_s
+            assert 0.0 < record.ttft_s <= record.latency_s
 
     def test_replica_never_double_booked(self, small_mixtral, hw):
         sim = make_cluster(small_mixtral, hw, router="least-outstanding")
@@ -354,6 +354,9 @@ class TestSingleMachineReference:
             assert got == expected, name
             assert report.makespan_s == makespan_s, name
             assert report.replicas[0].busy_s == busy_s, name
+            assert all(
+                0.0 < r.ttft_s <= r.latency_s for r in report.records
+            ), name
 
 
 class TestDeterminism:
@@ -565,5 +568,6 @@ class TestHeterogeneousFleet:
             build_cluster(small_mixtral, [], BATCHING)
         with pytest.raises(ValueError):
             ClusterSimulator([], make_router("round-robin"))
-        with pytest.raises(ValueError):
-            ClusterConfig(slo_s=0)
+        for slo_s in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="slo_s"):
+                ClusterConfig(slo_s=slo_s)

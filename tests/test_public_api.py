@@ -213,6 +213,11 @@ class TestCLICoverage:
         with pytest.raises(SystemExit):
             main(["serve", "--envs", "env99", "--requests", "2"])
 
+    @pytest.mark.parametrize("flag", ["--max-wait", "--slo"])
+    def test_serve_rejects_non_finite_durations(self, flag):
+        with pytest.raises(SystemExit, match="must be finite and positive"):
+            main(["serve", "--replicas", "1", "--requests", "6", flag, "inf"])
+
     def test_serve_fault_preset_and_seed(self, capsys):
         code = main([
             "serve", "--replicas", "2", "--requests", "8",

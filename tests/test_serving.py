@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import KlotskiSystem
+from repro.cluster import ClusterSimulator, build_cluster, make_router
 from repro.serving import (
     ArrivalConfig,
     BatchingConfig,
     BurstyConfig,
-    CompletedRequest,
     Request,
-    Server,
-    ServingReport,
     assign_hot_experts,
     generate_bursty,
     generate_requests,
@@ -55,175 +52,48 @@ class TestBatchingConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchingConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            BatchingConfig(max_wait_s=0)
+        for max_wait_s in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="max_wait_s"):
+                BatchingConfig(max_wait_s=max_wait_s)
 
 
-@pytest.fixture
-def server(small_scenario):
-    batching = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=30.0)
-    return Server(small_scenario, KlotskiSystem(), batching)
+def serve_one_machine(small_mixtral, hw, batching, requests):
+    """Serve ``requests`` on one machine: a one-replica fleet."""
+    replicas = build_cluster(
+        small_mixtral, [hw], batching, prompt_len=32, gen_len=4, prompt_quantum=1
+    )
+    return ClusterSimulator(replicas, make_router("round-robin")).run(requests)
 
 
 class TestServer:
-    def test_all_requests_complete(self, server):
-        requests = generate_requests(
-            ArrivalConfig(rate_per_s=1.0, prompt_len_mean=32, gen_len=4, seed=1), 12
-        )
-        report = server.simulate(requests)
-        assert len(report.completed) == 12
-        assert report.makespan_s > 0
-        assert report.throughput > 0
+    """One machine served through the cluster event loop."""
 
-    def test_completion_after_arrival_and_dispatch(self, server):
-        requests = generate_requests(
-            ArrivalConfig(rate_per_s=2.0, prompt_len_mean=32, gen_len=4, seed=2), 10
-        )
-        report = server.simulate(requests)
-        for completed in report.completed:
-            assert completed.dispatch_s >= completed.request.arrival_s
-            assert completed.completion_s > completed.dispatch_s
-            assert completed.latency_s >= completed.queueing_s
-
-    def test_machine_never_double_booked(self, server):
-        requests = generate_requests(
-            ArrivalConfig(rate_per_s=5.0, prompt_len_mean=32, gen_len=4, seed=3), 16
-        )
-        report = server.simulate(requests)
-        windows = sorted(
-            {(c.dispatch_s, c.completion_s) for c in report.completed}
-        )
-        for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
-            assert s2 >= e1 - 1e-9
-
-    def test_percentiles_ordered(self, server):
-        requests = generate_requests(
-            ArrivalConfig(rate_per_s=3.0, prompt_len_mean=32, gen_len=4, seed=4), 20
-        )
-        report = server.simulate(requests)
-        assert report.percentile_latency(50) <= report.percentile_latency(95)
-        assert "tok/s" in report.summary()
-
-    def test_larger_groups_raise_throughput(self, small_scenario):
+    def test_larger_groups_raise_throughput(self, small_mixtral, hw):
         """The core trade-off: bigger batch groups amortize weight I/O."""
         requests = generate_requests(
             ArrivalConfig(rate_per_s=50.0, prompt_len_mean=32, gen_len=4, seed=5), 24
         )
-        small = Server(
-            small_scenario,
-            KlotskiSystem(),
-            BatchingConfig(batch_size=4, group_batches=1),
-        ).simulate(requests)
-        large = Server(
-            small_scenario,
-            KlotskiSystem(),
-            BatchingConfig(batch_size=4, group_batches=6),
-        ).simulate(requests)
+        small, large = (
+            serve_one_machine(
+                small_mixtral, hw,
+                BatchingConfig(batch_size=4, group_batches=group_batches),
+                requests,
+            )
+            for group_batches in (1, 6)
+        )
         assert large.throughput > small.throughput
 
-    def test_empty_stream(self, server):
-        report = server.simulate([])
-        assert report.completed == []
-        assert report.throughput == 0.0
-
-    def test_partial_group_dispatches_at_deadline(self, server):
-        """A lone partial group fires at oldest.arrival + max_wait_s even
-        when the next arrival is far in the future (regression: dispatch
-        used to wait for the next arrival to advance the clock)."""
-        requests = [
-            Request(0, 0.0, 32, 4),
-            Request(1, 1.0, 32, 4),
-            Request(2, 500.0, 32, 4),
-        ]
-        report = server.simulate(requests)
-        by_id = {c.request.request_id: c for c in report.completed}
-        max_wait = server.batching.max_wait_s
-        assert by_id[0].dispatch_s == pytest.approx(max_wait)
-        assert by_id[1].dispatch_s == pytest.approx(max_wait)
-        # the late request forms its own group at its own deadline
-        assert by_id[2].dispatch_s == pytest.approx(500.0 + max_wait)
-
-    def test_full_group_dispatches_at_fill_time(self, server):
-        capacity = server.batching.group_capacity
+    def test_full_group_dispatches_at_fill_time(self, small_mixtral, hw):
+        batching = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=30.0)
+        capacity = batching.group_capacity
         requests = [Request(i, float(i), 32, 4) for i in range(capacity)]
-        report = server.simulate(requests)
+        report = serve_one_machine(small_mixtral, hw, batching, requests)
         fill_time = float(capacity - 1)
+        assert len(report.records) == capacity
         assert all(
-            c.dispatch_s == pytest.approx(fill_time) for c in report.completed
+            r.dispatch_s == r.start_s == pytest.approx(fill_time)
+            for r in report.records
         )
-
-
-class TestServingReportEdges:
-    def test_empty_report(self):
-        report = ServingReport()
-        assert report.mean_latency_s == 0.0
-        assert report.percentile_latency(99) == 0.0
-        assert report.throughput == 0.0
-        assert "0 requests" in report.summary()
-
-    def test_single_request(self):
-        request = Request(0, 0.0, 32, 4)
-        report = ServingReport(
-            completed=[CompletedRequest(request, 1.0, 3.0)],
-            busy_s=2.0,
-            makespan_s=3.0,
-        )
-        assert report.mean_latency_s == pytest.approx(3.0)
-        assert report.throughput == pytest.approx(4 / 3.0)
-
-    def test_percentile_on_one_sample(self):
-        request = Request(0, 0.0, 32, 4)
-        report = ServingReport(completed=[CompletedRequest(request, 1.0, 3.0)])
-        for q in (0, 50, 95, 99, 100):
-            assert report.percentile_latency(q) == pytest.approx(3.0)
-
-    def test_metric_arrays_cached_across_calls(self):
-        # Regression: percentile_* used to rebuild the latency array on
-        # every call; the arrays are now built once per record set.
-        requests = [Request(i, float(i), 32, 4) for i in range(4)]
-        report = ServingReport(
-            completed=[CompletedRequest(r, r.arrival_s + 1.0, r.arrival_s + 3.0)
-                       for r in requests],
-            makespan_s=7.0,
-        )
-        first = report.latencies()
-        assert report.latencies() is first
-        assert report.ttfts() is report.ttfts()
-        # Appending a record invalidates via the count key.
-        report.completed.append(CompletedRequest(Request(9, 0.0, 32, 4), 1.0, 9.0))
-        assert report.latencies() is not first
-        assert len(report.latencies()) == 5
-
-    def test_invalidate_metrics_after_in_place_mutation(self):
-        request = Request(0, 0.0, 32, 4)
-        report = ServingReport(completed=[CompletedRequest(request, 1.0, 3.0)])
-        assert report.mean_latency_s == pytest.approx(3.0)
-        # Count-preserving mutation: same length, different content.
-        report.completed[0] = CompletedRequest(request, 1.0, 5.0)
-        report.invalidate_metrics()
-        assert report.mean_latency_s == pytest.approx(5.0)
-
-    def test_ttft_metrics(self):
-        requests = [Request(i, float(i), 32, 4) for i in range(3)]
-        report = ServingReport(
-            completed=[
-                CompletedRequest(r, r.arrival_s + 1.0, r.arrival_s + 4.0, 1.5)
-                for r in requests
-            ],
-            makespan_s=7.0,
-        )
-        assert report.mean_ttft_s == pytest.approx(1.5)
-        assert report.percentile_ttft(95) == pytest.approx(1.5)
-        assert "TTFT p95" in report.summary()
-
-    def test_server_stamps_ttft_below_latency(self, server):
-        requests = generate_requests(
-            ArrivalConfig(rate_per_s=4.0, prompt_len_mean=32, gen_len=4, seed=2),
-            12,
-        )
-        report = server.simulate(requests)
-        for c in report.completed:
-            assert 0.0 < c.ttft_s <= c.latency_s
 
 
 class TestBurstyArrivals:
