@@ -99,11 +99,18 @@ class Event(NamedTuple):
 
 
 class EventQueue:
-    """Time-ordered event heap with (kind, FIFO) tie-breaking."""
+    """Time-ordered event heap with (kind, FIFO) tie-breaking.
 
-    def __init__(self) -> None:
+    Args:
+        first_seq: sequence number of the first pushed event. The
+            cluster loop reads arrival ``i`` of its arrival-sorted stream
+            with sequence number ``i`` instead of pushing it, so it
+            numbers the heap's own events from the stream length.
+    """
+
+    def __init__(self, first_seq: int = 0) -> None:
         self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._counter = itertools.count(first_seq)
 
     def push(self, time: float, kind: str, payload: Any = None) -> None:
         heapq.heappush(
@@ -113,6 +120,10 @@ class EventQueue:
 
     def pop(self) -> Event:
         return heapq.heappop(self._heap)
+
+    def peek(self) -> Event:
+        """The next event :meth:`pop` would return (queue must be non-empty)."""
+        return self._heap[0]
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -6,8 +6,10 @@ own (possibly heterogeneous) hardware — against one shared request stream.
 
 Event model (see :mod:`repro.cluster.events`): one event loop,
 :meth:`ClusterSimulator.simulate`, runs every simulation — either
-dispatch discipline, faulted or not. A single time-ordered heap carries
-request *arrivals*, the fault/control kinds of a compiled
+dispatch discipline, faulted or not. Request *arrivals* are read in
+order from the arrival-sorted stream and merged against a single
+time-ordered heap on the same ``(time, kind, seq)`` key; the heap
+carries the fault/control kinds of a compiled
 :class:`~repro.cluster.faults.FaultPlan` (crash, recover, join, drain,
 straggler windows, retries) and the discipline's own kinds. The loop
 owns routing, fleet health, retries, load shedding, terminal records and
@@ -39,6 +41,7 @@ from repro.cluster.events import (
     CRASH,
     DRAIN,
     JOIN,
+    KIND_PRIORITY,
     RECOVER,
     RETRY,
     SLOW_END,
@@ -79,6 +82,8 @@ _FAULT_COUNTERS = (
     "failed_requests",
     "stranded_requests",
 )
+
+_ARRIVAL_RANK = KIND_PRIORITY[ARRIVAL]
 
 # Event kinds the loop handles itself; the discipline handles the rest.
 _CONTROL_KINDS = frozenset(
@@ -382,7 +387,9 @@ class ClusterSimulator:
         self.report = report = ClusterReport(
             router=self.router.name, slo_s=self.config.slo_s
         )
-        events = EventQueue()
+        stream = sorted(requests, key=lambda r: r.arrival_s)
+        total = len(stream)
+        events = EventQueue(total)
         self.push = events.push
         self.counters = counters = dict.fromkeys(
             ("arrivals", *discipline.counter_names), 0
@@ -403,8 +410,6 @@ class ClusterSimulator:
         self._dispatch_seq = [0] * n  # transient-oracle ordinal
         self._consec_fail = [0] * n
         self._breaker_until = [0.0] * n
-        for request in sorted(requests, key=lambda r: r.arrival_s):
-            events.push(request.arrival_s, ARRIVAL, request)
         if plan is not None:
             counters.update(dict.fromkeys(_FAULT_COUNTERS, 0))
             self._retry_policy = self.retry or RetryPolicy()
@@ -414,18 +419,27 @@ class ClusterSimulator:
             for t, kind, rid, value in plan.events:
                 events.push(t, kind, (rid, value))
 
+        # Arrivals never enter the heap: arrival i of the sorted stream is
+        # the event (arrival_s, ARRIVAL rank, i), and every pushed event is
+        # numbered from `total` up, so merging the stream against the heap
+        # head on that key replays the order a heap of all events would pop.
         route, control, on_event = self._route, self._control, discipline.on_event
-        arrivals = 0
-        while events:
-            now, _, _, kind, payload = events.pop()
-            if kind == ARRIVAL:
-                arrivals += 1
-                route(payload, now)
-            elif kind in _CONTROL_KINDS:
+        pop, peek = events.pop, events.peek
+        next_arrival = 0
+        while next_arrival < total or events:
+            if next_arrival < total:
+                request = stream[next_arrival]
+                now = request.arrival_s
+                if not events or (now, _ARRIVAL_RANK, next_arrival) < peek():
+                    next_arrival += 1
+                    route(request, now)
+                    continue
+            now, _, _, kind, payload = pop()
+            if kind in _CONTROL_KINDS:
                 control(kind, payload, now)
             else:
                 on_event(kind, payload, now)
-        counters["arrivals"] = arrivals
+        counters["arrivals"] = total
 
         # Defensive flush: the loop should drain every queue and batch;
         # anything left is a conservation bug surfaced as a counted
