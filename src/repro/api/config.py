@@ -545,7 +545,10 @@ class ClusterConfig:
         engine: simulation engine — ``serial`` (reference event loop),
             ``batched`` (group-granular scan), or ``sharded``
             (multiprocess scan); all three are bit-identical (see
-            :func:`repro.validation.run_cluster_differential`).
+            :func:`repro.validation.run_cluster_differential`). The
+            scans need a router that plans its assignment up front
+            (round-robin, or expert-affinity with enough slack);
+            otherwise they run the serial event loop.
         jobs: worker processes for the sharded engine.
         faults: fault-injection model — a
             :data:`~repro.api.registry.FAULT_PRESETS` name or an inline
@@ -562,10 +565,6 @@ class ClusterConfig:
             admits and preempts at decode-step boundaries (see
             :mod:`repro.serving.scheduler`). Non-default schedulers
             always run the serial event loop regardless of ``engine``.
-        queue_depth_stride: keep every N-th per-replica queue-depth
-            sample (1, the default, keeps all of them — the exact
-            pre-existing behaviour); larger strides bound the timeline
-            on fleet-scale streams.
     """
 
     replicas: int = 4
@@ -583,7 +582,6 @@ class ClusterConfig:
     faults: str | dict = ""
     retry: dict = field(default_factory=dict)
     scheduler: str = "group"
-    queue_depth_stride: int = 1
 
     def to_dict(self) -> dict:
         """Plain-JSON form (``envs`` as a list)."""
@@ -603,7 +601,6 @@ class ClusterConfig:
             "faults": _copy_ref(self.faults),
             "retry": _copy_ref(dict(self.retry)),
             "scheduler": self.scheduler,
-            "queue_depth_stride": self.queue_depth_stride,
         }
 
     @classmethod
@@ -687,11 +684,6 @@ class ClusterConfig:
                 "must be one of: serial, batched, sharded",
             ),
             ("jobs", self.jobs >= 1, "must be >= 1"),
-            (
-                "queue_depth_stride",
-                self.queue_depth_stride >= 1,
-                "must be >= 1 (1: keep every sample)",
-            ),
         )
         for key, ok, message in checks:
             if not ok:

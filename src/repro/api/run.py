@@ -145,7 +145,6 @@ def build_fleet(run: RunConfig, *, shared_cache: dict | None = None) -> list:
         seed=scenario.seed,
         prompt_quantum=cluster.prompt_quantum,
         shared_cache=shared_cache,
-        timeline_stride=cluster.queue_depth_stride,
     )
 
 

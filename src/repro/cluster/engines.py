@@ -8,17 +8,23 @@ module provides two faster engines that produce **bit-identical**
 same order, same floats, same counters), proven continuously by
 :func:`repro.validation.run_cluster_differential`:
 
-* ``batched`` — when the router can precompute its assignment
-  (:meth:`~repro.cluster.routers.Router.plan_assignments`), the stream is
-  partitioned per replica and each replica is swept by a *group-granular*
+* ``batched`` — the router's precomputed assignment
+  (:meth:`~repro.cluster.routers.Router.plan_assignments`) partitions the
+  stream per replica, and each replica is swept by a *group-granular*
   greedy scan (one iteration per dispatched group, not per event) that
   reproduces the serial loop's grouping, timing, and tie-breaking
-  analytically. Load-coupled routers fall back to an in-order event walk
-  that still skips the per-event heap churn for arrivals.
+  analytically.
 * ``sharded`` — the same per-replica scans fanned out over a
   ``multiprocessing`` fork pool, merged deterministically in replica
   order (counters, records, and obs buffers folded shard by shard, the
   same parallel==serial construction as ``experiments.Runner``).
+
+They speed up only what they can partition. :meth:`ClusterSimulator.run
+<repro.cluster.simulator.ClusterSimulator.run>` calls :func:`run_engine`
+only for a fault-free ``group`` run whose router returns a plan; every
+other run, including load-coupled routing (least-outstanding, and
+expert-affinity unless its slack covers the whole stream), goes through
+the serial loop.
 
 Why the scan is exact (the equivalence argument the differential harness
 re-checks empirically):
@@ -55,7 +61,6 @@ last bit rather than merely close.
 
 from __future__ import annotations
 
-import heapq
 import os
 from bisect import bisect_left, bisect_right
 from math import ulp
@@ -63,6 +68,7 @@ from multiprocessing import get_context
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.cluster.events import ARRIVAL, DEADLINE, KIND_PRIORITY
 from repro.cluster.report import ClusterReport, ReplicaStats, make_record
 from repro.errors import OutOfMemoryError
 from repro.obs import count
@@ -78,54 +84,29 @@ ENGINES = ("serial", "batched", "sharded")
 
 _EPS = 1e-9  # matches the serial loop's deadline tolerance
 
-# Event-kind priorities, mirrored from repro.cluster.events.KIND_PRIORITY
-# (plain ints here so group tuples stay cheap to build and pickle). The
-# fast engines never see fault/control kinds — a simulator with an
-# active fault plan runs the serial loop instead of this module — so
-# only these three ranks are mirrored; their relative order is what
-# matters and matches the heap's.
-_P_COMPLETION = 0
-_P_ARRIVAL = 8
-_P_DEADLINE = 9
+# Ranks of a group's dispatching event (filling arrival or deadline),
+# the second field of the merge key.
+_P_ARRIVAL = KIND_PRIORITY[ARRIVAL]
+_P_DEADLINE = KIND_PRIORITY[DEADLINE]
 
 
 def run_engine(
-    sim: "ClusterSimulator", requests: list[Request], *, engine: str, jobs: int = 1
+    sim: "ClusterSimulator", srt: list[Request], plan: list[int], *, jobs: int
 ) -> ClusterReport:
-    """Execute ``requests`` on ``sim`` with the named non-serial engine."""
-    srt = sorted(requests, key=lambda r: r.arrival_s)
-    if engine == "batched":
-        return _run_planned(sim, srt, jobs=1)
-    if engine == "sharded":
-        return _run_planned(sim, srt, jobs=jobs)
-    raise ValueError(f"unknown cluster engine {engine!r}; choose from {ENGINES}")
+    """Scan the planned per-replica partition of the stream.
 
-
-# ---------------------------------------------------------------------------
-# planned path: partition per replica, scan groups, merge deterministically
-# ---------------------------------------------------------------------------
-
-
-def _run_planned(
-    sim: "ClusterSimulator", srt: list[Request], *, jobs: int
-) -> ClusterReport:
-    plan = sim.router.plan_assignments(srt, sim.replicas)
-    if plan is None:
-        # Load-coupled routing (least-outstanding, affinity with overload
-        # fallback) cannot be partitioned without replaying the global
-        # event order, so both fast engines drop to the in-order walk.
-        count("cluster.engine.inorder_fallback")
-        return _run_inorder(sim, srt)
+    Args:
+        sim: the simulator whose fleet serves the stream.
+        srt: the request stream, sorted by arrival.
+        plan: replica index per request of ``srt``
+            (:meth:`~repro.cluster.routers.Router.plan_assignments`).
+        jobs: worker processes; 1 (the ``batched`` engine) scans in
+            process.
+    """
     shards: list[list[int]] = [[] for _ in sim.replicas]
     for gi, rid in enumerate(plan):
         shards[rid].append(gi)
-    if jobs > 1:
-        outcomes = _scan_pooled(sim, srt, shards, jobs)
-    else:
-        outcomes = [
-            _scan_replica(replica, srt, shards[rid])
-            for rid, replica in enumerate(sim.replicas)
-        ]
+    outcomes = _scan_all(sim, srt, shards, jobs)
     for outcome in outcomes:
         oom = outcome.get("oom")
         if oom is not None:
@@ -158,11 +139,6 @@ def _scan_replica(
 
     groups: list[tuple] = []
     timeline: list[tuple[float, int]] = []
-    # Queue-depth decimation mirrors Replica.sample_queue_depth: the tick
-    # advances per offered sample, so any stride reproduces the serial
-    # loop's exact sample selection.
-    timeline_stride = replica.timeline_stride
-    timeline_tick = 0
     no_deadline = bytearray(m)  # 1 = this arrival filled a group (no event)
     free_at = 0.0
     busy_s = 0.0
@@ -245,12 +221,8 @@ def _scan_replica(
         else:
             deadline_fires += 1
         for depth, request in enumerate(group):
-            if timeline_tick % timeline_stride == 0:
-                timeline.append((request.arrival_s, depth + 1))
-            timeline_tick += 1
-        if timeline_tick % timeline_stride == 0:
-            timeline.append((time_s, 0))
-        timeline_tick += 1
+            timeline.append((request.arrival_s, depth + 1))
+        timeline.append((time_s, 0))
         groups.append(
             (
                 time_s,
@@ -367,22 +339,23 @@ def _shard_worker(replica_ids: list[int]) -> tuple[list[dict], dict]:
     return outcomes, obs.collect()
 
 
-def _scan_pooled(
+def _scan_all(
     sim: "ClusterSimulator",
     srt: list[Request],
     shards: list[list[int]],
     jobs: int,
 ) -> list[dict]:
+    """Scan every replica's shard, across a fork pool when ``jobs > 1``."""
     global _SHARD_CONTEXT
     n_replicas = len(sim.replicas)
     jobs = max(1, min(jobs, n_replicas, os.cpu_count() or 1))
-    try:
-        ctx = get_context("fork")
-    except ValueError:
-        ctx = None
-    if jobs == 1 or ctx is None:
-        if ctx is None:
+    ctx = None
+    if jobs > 1:
+        try:
+            ctx = get_context("fork")
+        except ValueError:
             count("cluster.engine.pool_unavailable")
+    if ctx is None:
         return [
             _scan_replica(replica, srt, shards[rid])
             for rid, replica in enumerate(sim.replicas)
@@ -418,91 +391,3 @@ def _scan_pooled(
         )
         outcomes[0], outcomes[first] = outcomes[first], outcomes[0]
     return outcomes
-
-
-# ---------------------------------------------------------------------------
-# in-order fallback: serial semantics, leaner event plumbing
-# ---------------------------------------------------------------------------
-
-
-def _run_inorder(sim: "ClusterSimulator", srt: list[Request]) -> ClusterReport:
-    """Replay the serial event order without the serial loop's overheads.
-
-    Used when the router is load-coupled. Arrivals are consumed straight
-    from the sorted stream through an index pointer instead of being heap
-    entries, and deadline/completion events are bare tuples — same pops
-    in the same order. Routing calls and replica mutations are identical
-    to the serial loop, so the report is bit-identical by construction.
-    """
-    replicas, router = sim.replicas, sim.router
-    report = ClusterReport(router=router.name, slo_s=sim.config.slo_s)
-    n = len(srt)
-    heap: list[tuple] = []
-    seq = n  # serial seqs 0..n-1 went to the up-front arrival pushes
-    fulls = deadline_fires = completions = 0
-    next_arrival = 0
-
-    while next_arrival < n or heap:
-        if next_arrival < n:
-            request = srt[next_arrival]
-            if not heap or (request.arrival_s, _P_ARRIVAL, next_arrival) < (
-                heap[0][0],
-                heap[0][1],
-                heap[0][2],
-            ):
-                now = request.arrival_s
-                next_arrival += 1
-                replica = router.choose(request, replicas, now)
-                replica.enqueue(request, now)
-                if replica.group_ready():
-                    fulls += 1
-                    group = replica.dispatch(now)
-                    heapq.heappush(
-                        heap,
-                        (group.completion_s, _P_COMPLETION, seq, replica, group),
-                    )
-                    seq += 1
-                    sim._record(report, replica, group)
-                else:
-                    heapq.heappush(
-                        heap,
-                        (
-                            request.arrival_s + replica.batching.max_wait_s,
-                            _P_DEADLINE,
-                            seq,
-                            replica,
-                            None,
-                        ),
-                    )
-                    seq += 1
-                continue
-        now, priority, _seq, replica, group = heapq.heappop(heap)
-        if priority == _P_COMPLETION:
-            completions += 1
-            replica.complete(group)
-        elif replica.queue and replica.oldest_deadline() <= now + _EPS:
-            deadline_fires += 1
-            group = replica.dispatch(now)
-            heapq.heappush(
-                heap, (group.completion_s, _P_COMPLETION, seq, replica, group)
-            )
-            seq += 1
-            sim._record(report, replica, group)
-
-    report.makespan_s = max(
-        (r.free_at for r in replicas if r.groups), default=0.0
-    )
-    report.replicas = [
-        sim._replica_stats(r, sum(len(g.requests) for g in r.groups), len(r.groups))
-        for r in replicas
-    ]
-    report.counters = {
-        "arrivals": n,
-        "full_group_dispatches": fulls,
-        "deadline_dispatches": deadline_fires,
-        "dispatched_groups": fulls + deadline_fires,
-        "completions": completions,
-    }
-    for name, value in report.counters.items():
-        count(f"cluster.{name}", value)
-    return report

@@ -1,7 +1,9 @@
 """Discrete-event core of the cluster simulator.
 
-One binary heap carries every event kind, ordered by the canonical
-``(time, kind, seq)`` key:
+Every event kind is ordered by the canonical ``(time, kind, seq)`` key.
+One binary heap carries all of them except arrivals, which the cluster
+loop reads from its arrival-sorted stream (arrival ``i`` is sequence
+number ``i``) and merges against the heap head on the same key:
 
 * ``ARRIVAL``   — a request enters the cluster and is routed to a replica;
 * ``DEADLINE``  — a queued request's batching wait bound expires, forcing
@@ -56,8 +58,9 @@ RETRY = "retry"  # a backed-off request re-enters routing
 DECODE_STEP = "decode-step"
 
 # Canonical same-timestamp ranking (see module docstring). The batched
-# and sharded engines reproduce exactly this order without a heap, which
-# is what makes their reports byte-identical to the serial loop's.
+# scan ranks each group's dispatching event (a filling arrival or a
+# deadline) by it and merges groups on the same key, which is what makes
+# its reports byte-identical to the serial loop's.
 # Fault/control events sit between completions and arrivals: a group
 # finishing at *t* still lands first, then the fleet's health changes,
 # then backed-off retries re-route, and only then are new arrivals at

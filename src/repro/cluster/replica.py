@@ -95,10 +95,6 @@ class Replica:
         shared_cache: override for the group-timing cache (default: the
             process-wide memo shared by every replica; pass a dict to
             isolate).
-        timeline_stride: keep every N-th queue-depth sample (1, the
-            default, keeps all of them — the exact behaviour the fleet
-            goldens pin). Million-request runs otherwise grow
-            ``queue_depth_timeline`` without bound.
     """
 
     def __init__(
@@ -110,14 +106,12 @@ class Replica:
         *,
         prompt_quantum: int = 64,
         shared_cache: dict | None = None,
-        timeline_stride: int = 1,
     ):
         self.replica_id = replica_id
         self.scenario = scenario
         self.system = system
         self.batching = batching
         self.prompt_quantum = max(1, prompt_quantum)
-        self.timeline_stride = max(1, timeline_stride)
         self._cache = shared_cache if shared_cache is not None else _GROUP_TIMING_MEMO
         self.resident_experts: frozenset[int] = frozenset()
 
@@ -129,7 +123,6 @@ class Replica:
         self.expert_misses = 0
         self.groups: list[DispatchedGroup] = []
         self.queue_depth_timeline: list[tuple[float, int]] = []
-        self._timeline_tick = 0
         # Straggler service-time multiplier (1.0 = nominal). Set by the
         # fault layer for the duration of a slowdown window; multiplying
         # by the default 1.0 is an exact float identity, so fault-free
@@ -214,19 +207,8 @@ class Replica:
         return len(self.queue) + self.inflight
 
     def sample_queue_depth(self, now: float, depth: int) -> None:
-        """Record a ``(time, depth)`` sample, stride-decimated.
-
-        With the default stride of 1 every sample is kept, byte-identical
-        to the historical always-append behaviour; larger strides keep
-        every N-th sample so the timeline stays bounded on fleet-scale
-        streams. The tick advances on every *offered* sample, so the
-        serial loop and the batched scan (which replays the same offer
-        sequence) decimate identically.
-        """
-        tick = self._timeline_tick
-        self._timeline_tick = tick + 1
-        if tick % self.timeline_stride == 0:
-            self.queue_depth_timeline.append((now, depth))
+        """Record a ``(time, depth)`` queue-depth sample."""
+        self.queue_depth_timeline.append((now, depth))
 
     def enqueue(self, request: Request, now: float) -> None:
         self.queue.append(request)

@@ -56,8 +56,9 @@ class Router:
         loop would produce, one replica index per request in
         arrival-sorted order, and must leave its own state as if
         :meth:`choose` had been called once per request. Load-coupled
-        policies return ``None`` (the default), which makes the engines
-        fall back to an in-order event walk.
+        policies return ``None`` (the default) and leave their state
+        untouched: the simulator then runs the serial event loop, which
+        calls :meth:`choose` per arrival.
         """
         return None
 

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 from repro.api.registry import SCHEDULERS
+from repro.cluster.engines import ENGINES, run_engine
 from repro.cluster.events import (
     ARRIVAL,
     CRASH,
@@ -131,7 +132,6 @@ def build_cluster(
     seed: int = 0,
     prompt_quantum: int = 64,
     shared_cache: dict | None = None,
-    timeline_stride: int = 1,
 ) -> list[Replica]:
     """Build one replica per environment.
 
@@ -155,8 +155,6 @@ def build_cluster(
         shared_cache: group-timing cache shared by the fleet (default:
             the process-wide memo; pass a dict to isolate this fleet,
             e.g. for determinism checks).
-        timeline_stride: keep every N-th queue-depth sample per replica
-            (1 keeps all — the goldens' exact behaviour).
 
     Returns:
         The list of replicas, ready for :class:`ClusterSimulator`.
@@ -185,7 +183,6 @@ def build_cluster(
             batching=batching,
             prompt_quantum=prompt_quantum,
             shared_cache=shared_cache,
-            timeline_stride=timeline_stride,
         )
         for i, (env, factory) in enumerate(zip(environments, factories))
     ]
@@ -297,12 +294,18 @@ class ClusterSimulator:
 
         Every run goes through the ``config.scheduler`` discipline of
         ``repro.api.SCHEDULERS`` and the one event loop,
-        :meth:`simulate`. The fast engines model only the fault-free
-        group discipline: with an active fault config or another
-        discipline, a fast-engine request runs the serial loop instead,
-        counted as ``cluster.engine.fault_fallback`` or
-        ``cluster.engine.scheduler_fallback``.
+        :meth:`simulate`, unless a fast engine can take it. The fast
+        engines model only the fault-free group discipline under a
+        router that plans its assignment up front; any other
+        fast-engine request runs the serial loop instead, counted as
+        ``cluster.engine.scheduler_fallback``,
+        ``cluster.engine.fault_fallback`` or
+        ``cluster.engine.router_fallback``.
         """
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown cluster engine {engine!r}; choose from {ENGINES}"
+            )
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         with span(
@@ -319,17 +322,21 @@ class ClusterSimulator:
                 elif self.faults is not None and self.faults.active():
                     count("cluster.engine.fault_fallback")
                 else:
-                    from repro.cluster.engines import run_engine
-
-                    self._claim()
-                    return run_engine(self, requests, engine=engine, jobs=jobs)
+                    srt = sorted(requests, key=lambda r: r.arrival_s)
+                    plan = self.router.plan_assignments(srt, self.replicas)
+                    if plan is None:
+                        count("cluster.engine.router_fallback")
+                    else:
+                        self._claim()
+                        return run_engine(
+                            self, srt, plan, jobs=jobs if engine == "sharded" else 1
+                        )
             return SCHEDULERS.get(self.config.scheduler)(self).run(requests)
 
     def _claim(self) -> None:
         """Mark the fleet as serving; raise if it already served a stream."""
         if self._consumed or any(
             r.groups or r.queue or r.busy_s or r.queue_depth_timeline
-            or r._timeline_tick
             for r in self.replicas
         ):
             raise RuntimeError(

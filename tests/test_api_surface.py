@@ -19,7 +19,7 @@ EXPECTED_SURFACE = {
     "ClusterConfig": "dataclass(replicas, envs, router, router_options, "
                      "group_batches, max_wait_s, slo_s, partition_experts, "
                      "expert_slots_per_replica, prompt_quantum, engine, "
-                     "jobs, faults, retry, scheduler, queue_depth_stride)",
+                     "jobs, faults, retry, scheduler)",
     "FAULT_PRESETS": "Registry",
     "HARDWARE_PRESETS": "Registry",
     "fault_preset_names": "def() -> 'list[str]'",

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.api import RunConfig, run_cluster
 from repro.cluster import (
     ARRIVAL,
     COMPLETION,
@@ -480,65 +482,59 @@ class TestClusterReport:
         assert report.mean_latency_s == pytest.approx(4.0)
 
 
-class TestQueueDepthStride:
-    def _run(self, small_mixtral, hw, stride):
-        replicas = build_cluster(
-            small_mixtral,
-            [hw] * 2,
-            BATCHING,
-            prompt_len=32,
-            gen_len=4,
-            prompt_quantum=16,
-            timeline_stride=stride,
-        )
-        sim = ClusterSimulator(
-            replicas, make_router("round-robin"), ClusterConfig(slo_s=60.0)
-        )
-        return sim.run(skewed_stream(small_mixtral, count=24))
+class TestEngines:
+    """Engine selection in ``ClusterSimulator.run`` and the shared loop."""
 
-    def test_default_stride_keeps_every_sample(self, small_mixtral, hw):
-        base = self._run(small_mixtral, hw, 1)
-        explicit = self._run(small_mixtral, hw, 1)
-        assert [s.queue_depth_timeline for s in base.replicas] == [
-            s.queue_depth_timeline for s in explicit.replicas
-        ]
-        assert all(s.queue_depth_timeline for s in base.replicas)
+    def test_arrivals_never_touch_the_heap(self, small_mixtral, hw, monkeypatch):
+        pushed = []
+        push = EventQueue.push
 
-    def test_stride_bounds_timeline_without_changing_results(
-        self, small_mixtral, hw
-    ):
-        dense = self._run(small_mixtral, hw, 1)
-        sparse = self._run(small_mixtral, hw, 3)
-        # Decimation touches telemetry only: records are identical.
-        assert [r.request.request_id for r in sparse.records] == [
-            r.request.request_id for r in dense.records
-        ]
-        assert [r.completion_s for r in sparse.records] == [
-            r.completion_s for r in dense.records
-        ]
-        for d, s in zip(dense.replicas, sparse.replicas):
-            assert len(s.queue_depth_timeline) < len(d.queue_depth_timeline)
-            # Kept samples are every 3rd offered one, starting at the first.
-            assert s.queue_depth_timeline == d.queue_depth_timeline[::3]
+        def spy(queue, time, kind, payload=None):
+            pushed.append(kind)
+            push(queue, time, kind, payload)
 
-    def test_stride_identical_across_engines(self, small_mixtral, hw):
+        monkeypatch.setattr(EventQueue, "push", spy)
         requests = skewed_stream(small_mixtral, count=24)
-        reports = []
-        for engine in ("serial", "batched"):
-            replicas = build_cluster(
-                small_mixtral,
-                [hw] * 2,
-                BATCHING,
-                prompt_len=32,
-                gen_len=4,
-                prompt_quantum=16,
-                timeline_stride=2,
+        report = make_cluster(small_mixtral, hw, router="least-outstanding").run(
+            requests
+        )
+        assert DEADLINE in pushed and COMPLETION in pushed
+        assert ARRIVAL not in pushed
+        assert report.counters["arrivals"] == len(requests)
+
+    @pytest.mark.parametrize(
+        "router, fallbacks", [("round-robin", 0), ("least-outstanding", 1)]
+    )
+    def test_fast_engines_fall_back_only_without_a_plan(
+        self, small_mixtral, hw, router, fallbacks
+    ):
+        requests = skewed_stream(small_mixtral, count=24)
+        serial = make_cluster(small_mixtral, hw, router=router).run(requests)
+        for engine in ("batched", "sharded"):
+            before = obs.counters_snapshot().get("cluster.engine.router_fallback", 0)
+            report = make_cluster(small_mixtral, hw, router=router).run(
+                requests, engine=engine, jobs=2
             )
-            sim = ClusterSimulator(
-                replicas, make_router("round-robin"), ClusterConfig(slo_s=60.0)
-            )
-            reports.append(sim.run(requests, engine=engine).to_dict())
-        assert reports[0] == reports[1]
+            after = obs.counters_snapshot().get("cluster.engine.router_fallback", 0)
+            assert report.to_dict() == serial.to_dict()
+            assert after - before == fallbacks
+
+    @pytest.mark.parametrize(
+        "cluster",
+        [{}, {"scheduler": "continuous"}, {"faults": "chaos"}],
+        ids=["group", "continuous", "chaos"],
+    )
+    def test_unknown_engine_rejected_on_every_path(self, cluster):
+        config = RunConfig.from_dict(
+            {
+                "scenario": {"env": "env1", "prompt_len": 32, "gen_len": 4},
+                "system": {"name": "klotski"},
+                "cluster": {"replicas": 2, "max_wait_s": 5.0, **cluster},
+                "serve": {"requests": 8, "rate_per_s": 4.0},
+            }
+        )
+        with pytest.raises(ValueError, match="unknown cluster engine"):
+            run_cluster(config, shared_cache={}, engine="warp-drive")
 
 
 class TestHeterogeneousFleet:

@@ -9,13 +9,12 @@ from hypothesis.extra.numpy import arrays
 from repro.compression.quantization import QuantConfig, dequantize, quantize
 from repro.core.ordering import order_experts
 from repro.errors import OutOfMemoryError
-from repro.hardware.memory import MemoryPool
 from repro.model.layers import softmax
 from repro.model.moe import top_k_gate
 from repro.routing.popularity import zipf_weights
 from repro.routing.trace import expert_token_counts, hot_experts
 from repro.runtime.executor import Executor
-from repro.runtime.schedule import GPU, H2D, Schedule
+from repro.runtime.schedule import GPU, H2D, MemEffect, Schedule
 from tests.test_executor import make_hw
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -77,24 +76,37 @@ class TestGateProperties:
         assert np.allclose(out.sum(axis=-1), 1.0)
 
 
-class TestMemoryPoolProperties:
+class TestMemoryReplayProperties:
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 100)), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_used_never_negative_nor_above_capacity(self, ops):
-        pool = MemoryPool("p", 500)
-        live = []
+        # One serial GPU op per allocation or free of a live tensor, so
+        # the replayed VRAM level is the running sum of the op sequence.
+        s = Schedule()
+        live, level, expected = [], 0, []
         for is_alloc, size in ops:
             if is_alloc:
-                tid = f"t{len(pool.usage_timeline)}"
-                try:
-                    pool.alloc(tid, size)
-                    live.append(tid)
-                except OutOfMemoryError:
-                    pass
+                tid = f"t{len(s)}"
+                s.add(GPU, 1.0, "alloc", allocs=[MemEffect("vram", tid, size)])
+                live.append((tid, size))
+                level += size
             elif live:
-                pool.free_tensor(live.pop())
-            assert 0 <= pool.used <= pool.capacity
-            assert pool.peak >= pool.used
+                tid, size = live.pop()
+                s.add(GPU, 1.0, "free", frees=[MemEffect("vram", tid, size)])
+                level -= size
+            else:
+                continue
+            expected.append(level)
+        executor, capacities = Executor(make_hw()), {"vram": 500}
+        if any(used > 500 for used in expected):
+            with pytest.raises(OutOfMemoryError):
+                executor.run(s, capacities=capacities)
+            return
+        t = executor.run(s, capacities=capacities)
+        levels = [used for _, used in t.memory_usage.get("vram", [])]
+        assert levels == expected
+        assert all(0 <= used <= 500 for used in levels)
+        assert t.memory_peak.get("vram", 0) == max(levels, default=0)
 
 
 class TestExecutorProperties:
