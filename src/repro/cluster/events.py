@@ -2,8 +2,9 @@
 
 Every event kind is ordered by the canonical ``(time, kind, seq)`` key.
 One binary heap carries all of them except arrivals, which the cluster
-loop reads from its arrival-sorted stream (arrival ``i`` is sequence
-number ``i``) and merges against the heap head on the same key:
+loop reads in order from its arrival-sorted stream and merges against
+the heap head on the same key (no heap event has the ``ARRIVAL`` rank,
+so an arrival never ties with one):
 
 * ``ARRIVAL``   — a request enters the cluster and is routed to a replica;
 * ``DEADLINE``  — a queued request's batching wait bound expires, forcing
@@ -102,18 +103,11 @@ class Event(NamedTuple):
 
 
 class EventQueue:
-    """Time-ordered event heap with (kind, FIFO) tie-breaking.
+    """Time-ordered event heap with (kind, FIFO) tie-breaking."""
 
-    Args:
-        first_seq: sequence number of the first pushed event. The
-            cluster loop reads arrival ``i`` of its arrival-sorted stream
-            with sequence number ``i`` instead of pushing it, so it
-            numbers the heap's own events from the stream length.
-    """
-
-    def __init__(self, first_seq: int = 0) -> None:
+    def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._counter = itertools.count(first_seq)
+        self._counter = itertools.count()
 
     def push(self, time: float, kind: str, payload: Any = None) -> None:
         heapq.heappush(

@@ -396,7 +396,7 @@ class ClusterSimulator:
         )
         stream = sorted(requests, key=lambda r: r.arrival_s)
         total = len(stream)
-        events = EventQueue(total)
+        events = EventQueue()
         self.push = events.push
         self.counters = counters = dict.fromkeys(
             ("arrivals", *discipline.counter_names), 0
@@ -426,10 +426,10 @@ class ClusterSimulator:
             for t, kind, rid, value in plan.events:
                 events.push(t, kind, (rid, value))
 
-        # Arrivals never enter the heap: arrival i of the sorted stream is
-        # the event (arrival_s, ARRIVAL rank, i), and every pushed event is
-        # numbered from `total` up, so merging the stream against the heap
-        # head on that key replays the order a heap of all events would pop.
+        # Arrivals never enter the heap: the loop reads them in order from
+        # the sorted stream and merges each against the heap head on the
+        # canonical key. No heap event has the ARRIVAL rank, so time or rank
+        # always decides the comparison and the sequence number never does.
         route, control, on_event = self._route, self._control, discipline.on_event
         pop, peek = events.pop, events.peek
         next_arrival = 0

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.api import RunConfig, run_cluster
 from repro.cluster import (
     ARRIVAL,
@@ -501,23 +500,6 @@ class TestEngines:
         assert DEADLINE in pushed and COMPLETION in pushed
         assert ARRIVAL not in pushed
         assert report.counters["arrivals"] == len(requests)
-
-    @pytest.mark.parametrize(
-        "router, fallbacks", [("round-robin", 0), ("least-outstanding", 1)]
-    )
-    def test_fast_engines_fall_back_only_without_a_plan(
-        self, small_mixtral, hw, router, fallbacks
-    ):
-        requests = skewed_stream(small_mixtral, count=24)
-        serial = make_cluster(small_mixtral, hw, router=router).run(requests)
-        for engine in ("batched", "sharded"):
-            before = obs.counters_snapshot().get("cluster.engine.router_fallback", 0)
-            report = make_cluster(small_mixtral, hw, router=router).run(
-                requests, engine=engine, jobs=2
-            )
-            after = obs.counters_snapshot().get("cluster.engine.router_fallback", 0)
-            assert report.to_dict() == serial.to_dict()
-            assert after - before == fallbacks
 
     @pytest.mark.parametrize(
         "cluster",

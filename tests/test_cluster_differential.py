@@ -19,6 +19,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.api import RunConfig, router_names
 from repro.api import run_cluster as api_run_cluster
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
@@ -89,12 +90,16 @@ def test_engine_registries_agree():
 )
 @settings(max_examples=100, deadline=None)
 def test_engines_bit_identical(spec, shape, router):
-    reports = {engine: _simulate(engine, spec, shape, router) for engine in ENGINES}
+    serial = _simulate("serial", spec, shape, router)
     for engine in ENGINES[1:]:
-        diffs = diff_cluster_reports(
-            reports["serial"], reports[engine], labels=("serial", engine)
-        )
+        before = obs.counters_snapshot().get("cluster.engine.router_fallback", 0)
+        report = _simulate(engine, spec, shape, router)
+        after = obs.counters_snapshot().get("cluster.engine.router_fallback", 0)
+        diffs = diff_cluster_reports(serial, report, labels=("serial", engine))
         assert not diffs, f"serial != {engine}:\n" + "\n".join(diffs)
+        # Only round-robin plans: least-outstanding routes by load, and
+        # expert-affinity's default slack of 0 is below any stream length.
+        assert after - before == (0 if router == "round-robin" else 1)
 
 
 def _run_config(
