@@ -12,6 +12,11 @@ The contract, checked once and centrally:
 * **strict, round-tripping serialization** — ``from_dict(to_dict(c)) == c``
   for every config; unknown keys are rejected with typo suggestions
   ("did you mean 'batch_size'?") instead of being silently ignored;
+* **one schema-driven parser** — every node (the four sections, inline
+  model and hardware specs, the inline fault and retry dicts) is built
+  by :func:`_build` from its dataclass's type hints, so a field's type,
+  default and serialization live only in its declaration, and type
+  mismatches are reported at every depth;
 * **aggregated validation** — every problem in the tree is collected
   into one :class:`~repro.errors.ConfigValidationError` report, so one
   fix cycle sees all the damage;
@@ -28,9 +33,11 @@ cache, golden traces, and fuzzer replay blobs all hash it directly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import types
 from dataclasses import dataclass, field
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from repro.api.registry import (
     ARRIVALS,
@@ -89,64 +96,116 @@ def _check_keys(data: dict, known, path: str, errors: Errors) -> None:
         )
 
 
-def _coerce(value, typ: type, path: str, errors: Errors, default):
-    """Coerce a JSON scalar onto a schema type, recording mismatches."""
-    if typ is bool:
+# Sentinel: the value failed its type check (the reason is recorded).
+_BAD = object()
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """``cls``'s dataclass fields mapped to their resolved type hints."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _type_name(hint) -> str:
+    """The JSON-facing name of a schema type (for mismatch messages)."""
+    origin = get_origin(hint)
+    if origin is tuple:
+        return "list"
+    if origin is types.UnionType:
+        return " or ".join(_type_name(arm) for arm in get_args(hint))
+    return hint.__name__
+
+
+def _plain(value):
+    """A plain-JSON deep copy: dicts are copied, tuples become lists."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _parse(value, hint, path: str, errors: Errors):
+    """Check one JSON value against a schema type.
+
+    Ints widen to float, bools are not ints, ``X | Y`` takes the first
+    arm that fits, ``tuple[...]`` takes a list (checked per item at
+    ``path[i]``), and a dataclass type is built by :func:`_build`.
+
+    Returns:
+        The parsed value, or ``_BAD`` once the mismatch is recorded.
+    """
+    origin = get_origin(hint)
+    if origin is types.UnionType:
+        for arm in get_args(hint):
+            out = _parse(value, arm, path, Errors())
+            if out is not _BAD:
+                return out
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            args = get_args(hint)
+            hints = [args[0]] * len(value) if args[-1] is Ellipsis else args
+            if len(hints) != len(value):
+                errors.add(path, f"expected {len(hints)} items, got {len(value)}")
+                return _BAD
+            items = [
+                _parse(item, item_hint, f"{path}[{i}]", errors)
+                for i, (item, item_hint) in enumerate(zip(value, hints))
+            ]
+            return _BAD if any(item is _BAD for item in items) else tuple(items)
+    elif dataclasses.is_dataclass(hint):
+        out = _build(hint, value, path, errors)
+        return _BAD if out is None else out
+    elif hint is dict:
+        if isinstance(value, dict):
+            return _plain(value)
+    elif hint is bool:
         if isinstance(value, bool):
             return value
-    elif typ is int:
+    elif hint is int:
         if isinstance(value, int) and not isinstance(value, bool):
             return int(value)
-    elif typ is float:
+    elif hint is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
-    elif typ is str:
+    elif hint is str:
         if isinstance(value, str):
             return value
-    errors.add(path, f"expected {typ.__name__}, got {type(value).__name__}")
-    return default
+    else:
+        raise TypeError(f"no parser for schema type {hint!r}")
+    errors.add(path, f"expected {_type_name(hint)}, got {type(value).__name__}")
+    return _BAD
 
 
-def _scalar_fields(cls) -> dict[str, type]:
-    """The dataclass's plain scalar fields, resolved to runtime types."""
-    hints = get_type_hints(cls)
-    out = {}
-    for f in dataclasses.fields(cls):
-        typ = hints.get(f.name)
-        if typ in (bool, int, float, str):
-            out[f.name] = typ
-    return out
+def _build(cls, data, path: str, errors: Errors):
+    """Strictly build dataclass ``cls`` from a plain dict.
 
+    Unknown keys and mistyped fields are recorded at their paths; a bad
+    field keeps its default so the caller's validation still sees the
+    rest. A constructor error (``__post_init__``, a missing required
+    field) is recorded only when the dict had no other error.
 
-def _spec_from_dict(cls, data, path: str, errors: Errors, nested=None):
-    """Strictly build a domain dataclass (ModelConfig, HardwareSpec...)
-    from a plain dict, recursing into ``nested`` sub-spec fields."""
-    nested = nested or {}
+    Returns:
+        The instance, or None when it could not be constructed.
+    """
+    schema = _schema(cls)
+    before = len(errors.items)
     if not isinstance(data, dict):
-        errors.add(path, f"expected a {cls.__name__} dict, got {type(data).__name__}")
-        return None
-    known = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(data, known, path, errors)
+        errors.add(path, f"expected dict, got {type(data).__name__}")
+        data = {}
+    _check_keys(data, schema, path, errors)
     kwargs = {}
-    ok = True
     for key, value in data.items():
-        if key not in known:
-            ok = False
-            continue
-        if key in nested:
-            sub = _spec_from_dict(nested[key], value, _join(path, key), errors)
-            if sub is None:
-                ok = False
-                continue
-            kwargs[key] = sub
-        else:
-            kwargs[key] = value
-    if not ok:
-        return None
+        if key in schema:
+            out = _parse(value, schema[key], _join(path, key), errors)
+            if out is not _BAD:
+                kwargs[key] = out
     try:
         return cls(**kwargs)
     except (ConfigError, ValueError, TypeError) as exc:
-        errors.add(path, str(exc))
+        if len(errors.items) == before:
+            errors.add(path, str(exc))
         return None
 
 
@@ -161,12 +220,12 @@ def _resolve_model(model, path: str, errors: Errors):
             path, unknown_name_message("model preset", model, MODEL_PRESETS.names())
         )
         return None
-    return _spec_from_dict(ModelConfig, model, path, errors)
+    return _build(ModelConfig, model, path, errors)
 
 
 def _resolve_hardware(env, path: str, errors: Errors):
     """Resolve a hardware reference (preset name or inline spec dict)."""
-    from repro.hardware.spec import ComputeSpec, HardwareSpec, LinkSpec
+    from repro.hardware.spec import HardwareSpec
 
     if isinstance(env, str):
         if env in HARDWARE_PRESETS:
@@ -176,30 +235,51 @@ def _resolve_hardware(env, path: str, errors: Errors):
             unknown_name_message("hardware preset", env, HARDWARE_PRESETS.names()),
         )
         return None
-    return _spec_from_dict(
-        HardwareSpec,
-        env,
-        path,
-        errors,
-        nested={
-            "gpu": ComputeSpec,
-            "cpu": ComputeSpec,
-            "pcie_h2d": LinkSpec,
-            "pcie_d2h": LinkSpec,
-            "disk_link": LinkSpec,
-        },
-    )
+    return _build(HardwareSpec, env, path, errors)
 
 
-def _copy_ref(value):
-    """Deep-copy a preset-name-or-dict reference for to_dict output."""
-    import copy
+class _Section:
+    """The shared strict ``from_dict`` and plain ``to_dict`` of a section.
 
-    return copy.deepcopy(value) if isinstance(value, dict) else value
+    Every fact about a field (its type, its default, how it serializes)
+    lives in the dataclass field declaration; subclasses add only their
+    cross-field ``_validate`` checks.
+    """
+
+    # Error-report prefix, and the report title ("<section> config").
+    _section = ""
+
+    def to_dict(self) -> dict:
+        """Plain-JSON form (the canonical serialization hashes this)."""
+        return {key: _plain(getattr(self, key)) for key in _schema(type(self))}
+
+    @classmethod
+    def from_dict(
+        cls, data: dict, *, path: str | None = None, errors: Errors | None = None
+    ):
+        """Strictly parse a section dict (unknown keys are errors).
+
+        Args:
+            data: the plain dict form.
+            path: error-report prefix (default: the section name).
+            errors: outer collector; when omitted, problems raise one
+                aggregated :class:`~repro.errors.ConfigValidationError`.
+
+        Returns:
+            The parsed config (fields with errors keep their defaults so
+            validation can continue and report everything).
+        """
+        own = errors if errors is not None else Errors()
+        path = cls._section if path is None else path
+        config = _build(cls, data, path, own)
+        own.items.extend(f"{p}: {m}" if p else m for p, m in config._validate(path))
+        if errors is None:
+            own.raise_if_any(f"{cls._section} config")
+        return config
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Section):
     """One evaluation point, declaratively.
 
     The single source of the scenario defaults: the CLI flags, the
@@ -232,63 +312,7 @@ class ScenarioConfig:
     correlation: float = 0.55
     prefill_token_cap: int = 2048
 
-    # ---- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Plain-JSON form (the canonical serialization hashes this)."""
-        d = dataclasses.asdict(self)
-        d["model"] = _copy_ref(self.model)
-        d["env"] = _copy_ref(self.env)
-        return d
-
-    @classmethod
-    def from_dict(
-        cls, data: dict, *, path: str = "scenario", errors: Errors | None = None
-    ) -> "ScenarioConfig":
-        """Strictly parse a scenario dict (unknown keys are errors).
-
-        Args:
-            data: the plain dict form.
-            path: error-report prefix.
-            errors: outer collector; when omitted, problems raise one
-                aggregated :class:`~repro.errors.ConfigValidationError`.
-
-        Returns:
-            The parsed config (fields with errors keep their defaults so
-            validation can continue and report everything).
-        """
-        own = errors if errors is not None else Errors()
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict, got {type(data).__name__}")
-            data = {}
-        scalars = _scalar_fields(cls)
-        known = {f.name for f in dataclasses.fields(cls)}
-        _check_keys(data, known, path, own)
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key in ("model", "env"):
-                if not isinstance(value, (str, dict)):
-                    own.add(
-                        _join(path, key),
-                        "expected a preset name or an inline spec dict, "
-                        f"got {type(value).__name__}",
-                    )
-                    continue
-                kwargs[key] = value
-            else:
-                kwargs[key] = _coerce(
-                    value, scalars[key], _join(path, key), own,
-                    getattr(cls, key),
-                )
-        config = cls(**kwargs)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("scenario config")
-        return config
+    _section = "scenario"
 
     # ---- the flat experiment-cell dialect ---------------------------------
 
@@ -392,7 +416,7 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_Section):
     """Which registered inference system to run, with what options.
 
     Attributes:
@@ -407,55 +431,31 @@ class SystemConfig:
 
     name: str = "klotski"
     options: dict = field(default_factory=dict)
-    passes: tuple = ()
+    passes: tuple[str, ...] = ()
+
+    _section = "system"
 
     def to_dict(self) -> dict:
         """Plain-JSON form (``passes`` is omitted when empty so existing
         config hashes and goldens are unchanged by the field's
         existence)."""
-        data = {"name": self.name, "options": _copy_ref(dict(self.options))}
-        if self.passes:
-            data["passes"] = list(self.passes)
+        data = super().to_dict()
+        if not self.passes:
+            del data["passes"]
         return data
 
     @classmethod
     def from_dict(
-        cls, data: dict, *, path: str = "system", errors: Errors | None = None
-    ) -> "SystemConfig":
+        cls, data: dict, *, path: str | None = None, errors: Errors | None = None
+    ):
         """Strictly parse a system dict; a bare string is shorthand for
-        ``{"name": <string>}``."""
-        own = errors if errors is not None else Errors()
+        ``{"name": <string>}`` and a ``passes`` string for its
+        comma-separated list."""
         if isinstance(data, str):
             data = {"name": data}
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict or name, got {type(data).__name__}")
-            data = {}
-        _check_keys(data, ("name", "options", "passes"), path, own)
-        name = data.get("name", cls.name)
-        if not isinstance(name, str):
-            own.add(_join(path, "name"), "expected a system name string")
-            name = cls.name
-        options = data.get("options", {})
-        if not isinstance(options, dict):
-            own.add(_join(path, "options"), "expected an options dict")
-            options = {}
-        passes = data.get("passes", ())
-        if isinstance(passes, str):
-            passes = tuple(p for p in passes.split(",") if p)
-        elif isinstance(passes, (list, tuple)) and all(
-            isinstance(p, str) for p in passes
-        ):
-            passes = tuple(passes)
-        else:
-            own.add(_join(path, "passes"), "expected a list of pass names")
-            passes = ()
-        config = cls(name=name, options=dict(options), passes=passes)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("system config")
-        return config
+        elif isinstance(data, dict) and isinstance(data.get("passes"), str):
+            data = {**data, "passes": [p for p in data["passes"].split(",") if p]}
+        return super().from_dict(data, path=path, errors=errors)
 
     def _validate(self, path: str) -> list[tuple[str, str]]:
         problems = []
@@ -526,7 +526,7 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(_Section):
     """Fleet shape and routing policy for multi-replica serving.
 
     Attributes:
@@ -568,7 +568,7 @@ class ClusterConfig:
     """
 
     replicas: int = 4
-    envs: tuple = ()
+    envs: tuple[str | dict, ...] = ()
     router: str = "least-outstanding"
     router_options: dict = field(default_factory=dict)
     group_batches: int = 2
@@ -583,81 +583,11 @@ class ClusterConfig:
     retry: dict = field(default_factory=dict)
     scheduler: str = "group"
 
-    def to_dict(self) -> dict:
-        """Plain-JSON form (``envs`` as a list)."""
-        return {
-            "replicas": self.replicas,
-            "envs": [_copy_ref(e) for e in self.envs],
-            "router": self.router,
-            "router_options": _copy_ref(dict(self.router_options)),
-            "group_batches": self.group_batches,
-            "max_wait_s": self.max_wait_s,
-            "slo_s": self.slo_s,
-            "partition_experts": self.partition_experts,
-            "expert_slots_per_replica": self.expert_slots_per_replica,
-            "prompt_quantum": self.prompt_quantum,
-            "engine": self.engine,
-            "jobs": self.jobs,
-            "faults": _copy_ref(self.faults),
-            "retry": _copy_ref(dict(self.retry)),
-            "scheduler": self.scheduler,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: dict, *, path: str = "cluster", errors: Errors | None = None
-    ) -> "ClusterConfig":
-        """Strictly parse a cluster dict (unknown keys are errors)."""
-        own = errors if errors is not None else Errors()
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict, got {type(data).__name__}")
-            data = {}
-        scalars = _scalar_fields(cls)
-        known = {f.name for f in dataclasses.fields(cls)}
-        _check_keys(data, known, path, own)
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key == "envs":
-                if isinstance(value, (list, tuple)) and all(
-                    isinstance(e, (str, dict)) for e in value
-                ):
-                    kwargs[key] = tuple(value)
-                else:
-                    own.add(
-                        _join(path, key),
-                        "expected a list of preset names or inline spec dicts",
-                    )
-            elif key in ("router_options", "retry"):
-                if isinstance(value, dict):
-                    kwargs[key] = dict(value)
-                else:
-                    own.add(_join(path, key), "expected an options dict")
-            elif key == "faults":
-                if isinstance(value, str):
-                    kwargs[key] = value
-                elif isinstance(value, dict):
-                    kwargs[key] = dict(value)
-                else:
-                    own.add(
-                        _join(path, key),
-                        "expected a fault-preset name or an inline "
-                        "FaultConfig dict",
-                    )
-            else:
-                kwargs[key] = _coerce(
-                    value, scalars[key], _join(path, key), own, getattr(cls, key)
-                )
-        config = cls(**kwargs)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("cluster config")
-        return config
+    _section = "cluster"
 
     def _validate(self, path: str) -> list[tuple[str, str]]:
+        from repro.cluster.faults import FaultConfig, RetryPolicy
+
         out = []
         checks = (
             ("replicas", self.replicas >= 1, "must be >= 1"),
@@ -704,6 +634,7 @@ class ClusterConfig:
                     ),
                 )
             )
+        probe = Errors()
         if isinstance(self.faults, str):
             if self.faults and self.faults not in FAULT_PRESETS:
                 out.append(
@@ -715,20 +646,9 @@ class ClusterConfig:
                     )
                 )
         else:
-            from repro.cluster.faults import FaultConfig
-
-            try:
-                FaultConfig.from_dict(dict(self.faults))
-            except (TypeError, ValueError) as exc:
-                out.append((_join(path, "faults"), str(exc)))
+            _build(FaultConfig, self.faults, _join(path, "faults"), probe)
         if self.retry:
-            from repro.cluster.faults import RetryPolicy
-
-            try:
-                RetryPolicy.from_dict(dict(self.retry))
-            except (TypeError, ValueError) as exc:
-                out.append((_join(path, "retry"), str(exc)))
-        probe = Errors()
+            _build(RetryPolicy, self.retry, _join(path, "retry"), probe)
         for i, env in enumerate(self.envs):
             _resolve_hardware(env, _join(path, f"envs[{i}]"), probe)
         out.extend(("", item) for item in probe.items)
@@ -751,7 +671,10 @@ class ClusterConfig:
             if not self.faults:
                 return None
             return FAULT_PRESETS.get(self.faults)()
-        return FaultConfig.from_dict(dict(self.faults))
+        errors = Errors()
+        faults = _build(FaultConfig, self.faults, "cluster.faults", errors)
+        errors.raise_if_any("cluster config")
+        return faults
 
     def build_retry(self):
         """The configured :class:`~repro.cluster.faults.RetryPolicy`.
@@ -765,7 +688,10 @@ class ClusterConfig:
 
         if not self.retry:
             return None
-        return RetryPolicy.from_dict(dict(self.retry))
+        errors = Errors()
+        retry = _build(RetryPolicy, self.retry, "cluster.retry", errors)
+        errors.raise_if_any("cluster config")
+        return retry
 
     def resolve_environments(self, default_env) -> list:
         """One :class:`~repro.hardware.spec.HardwareSpec` per replica.
@@ -788,7 +714,7 @@ class ClusterConfig:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(_Section):
     """The request stream a serving run feeds the fleet.
 
     Attributes:
@@ -812,51 +738,7 @@ class ServeConfig:
     rate_per_s: float = 2.0
     hot_experts: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """Plain-JSON form."""
-        return {
-            "arrival": self.arrival,
-            "arrival_options": _copy_ref(dict(self.arrival_options)),
-            "requests": self.requests,
-            "rate_per_s": self.rate_per_s,
-            "hot_experts": _copy_ref(dict(self.hot_experts)),
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: dict, *, path: str = "serve", errors: Errors | None = None
-    ) -> "ServeConfig":
-        """Strictly parse a serve dict (unknown keys are errors)."""
-        own = errors if errors is not None else Errors()
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict, got {type(data).__name__}")
-            data = {}
-        known = {f.name for f in dataclasses.fields(cls)}
-        _check_keys(data, known, path, own)
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key in ("arrival_options", "hot_experts"):
-                if isinstance(value, dict):
-                    kwargs[key] = dict(value)
-                else:
-                    own.add(_join(path, key), "expected a dict")
-            elif key == "arrival":
-                kwargs[key] = _coerce(value, str, _join(path, key), own, cls.arrival)
-            elif key == "requests":
-                kwargs[key] = _coerce(value, int, _join(path, key), own, cls.requests)
-            else:  # rate_per_s
-                kwargs[key] = _coerce(
-                    value, float, _join(path, key), own, cls.rate_per_s
-                )
-        config = cls(**kwargs)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("serve config")
-        return config
+    _section = "serve"
 
     def _validate(self, path: str) -> list[tuple[str, str]]:
         out = []

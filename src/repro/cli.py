@@ -44,7 +44,8 @@ exit 0 when the simulation completes, reporting OOM in the payload (the
 paper's §9.2 observation that expert-only offloaders cannot run large
 batches is data, not a crash).
 
-Installed as ``klotski-repro`` (see ``pyproject.toml``).
+Run it from the repository root as ``PYTHONPATH=src python -m repro.cli``
+(there is no installed entry point).
 """
 
 from __future__ import annotations
@@ -427,7 +428,7 @@ def _faults_from_args(args):
             from repro.api.registry import FAULT_PRESETS
 
             try:
-                value = FAULT_PRESETS.get(value)().to_dict()
+                value = dataclasses.asdict(FAULT_PRESETS.get(value)())
             except ValueError as exc:
                 raise SystemExit(str(exc)) from None
         value["seed"] = args.fault_seed

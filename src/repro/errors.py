@@ -27,14 +27,6 @@ class ConfigValidationError(ConfigError):
         )
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warnings issued by this package's own legacy shims.
-
-    A distinct subclass so the test suite can promote *our* deprecations
-    to errors (``pytest.ini``) without tripping over third-party ones.
-    """
-
-
 class OutOfMemoryError(ReproError):
     """Raised when a memory pool cannot satisfy an allocation request.
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api.canonical import canonical_json, stable_hash
 from repro.cluster.report import ClusterReport
 from repro.runtime.schedule import RESOURCES, CompiledSchedule, Schedule
 from repro.runtime.timeline import Timeline
@@ -39,30 +40,6 @@ def _array_digest(values: np.ndarray) -> str:
     if arr.dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
         arr = arr.astype(arr.dtype.newbyteorder("<"))
     return hashlib.sha256(arr.tobytes()).hexdigest()
-
-
-def canonical_json(payload: dict) -> str:
-    """Serialize ``payload`` deterministically (sorted keys, repr floats).
-
-    Args:
-        payload: a JSON-compatible mapping.
-
-    Returns:
-        The canonical string used for digests and on-disk goldens.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def digest(payload: dict) -> str:
-    """SHA-256 of a snapshot's canonical JSON.
-
-    Args:
-        payload: the snapshot body (without its ``digest`` field).
-
-    Returns:
-        The hex digest addressing this content.
-    """
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline) -> dict:
@@ -101,7 +78,7 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
         "ends_sha256": _array_digest(ends.astype(np.float64)),
         "memory_usage": usage,
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 
@@ -127,7 +104,7 @@ def snapshot_schedule(schedule: Schedule | CompiledSchedule) -> dict:
         "ev_op_sha256": _array_digest(compiled.ev_op),
         "ev_delta_sha256": _array_digest(compiled.ev_delta),
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 
@@ -153,7 +130,7 @@ def snapshot_cluster(report: ClusterReport) -> dict:
         "expert_misses": report.expert_misses,
         "report_sha256": hashlib.sha256(full.encode()).hexdigest(),
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 
@@ -227,7 +204,7 @@ def snapshot_fleet(report: ClusterReport, *, stride: int = 1000) -> dict:
         "replicas_sha256": hashlib.sha256(replicas.encode()).hexdigest(),
         "sampled_records": sampled,
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 

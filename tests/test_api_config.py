@@ -33,15 +33,24 @@ from repro.api import (
     build_requests,
     build_scenario,
     build_system,
+    fault_preset_names,
     hardware_preset_names,
     model_preset_names,
+    pass_names,
     router_names,
     run_pipeline,
+    scheduler_names,
     system_names,
 )
 from repro.errors import ConfigValidationError
 from repro.experiments.spec import cell_key
-from repro.validation.fuzz import random_run_config
+from repro.hardware.spec import ENV1
+from repro.validation.fuzz import (
+    random_cluster_run_config,
+    random_fault_config,
+    random_retry_config,
+    random_run_config,
+)
 
 
 def round_trip(config: RunConfig) -> RunConfig:
@@ -92,6 +101,15 @@ class TestRoundTrips:
             assert scenario.model.num_layers >= 2
             assert build_system(config.system).name
 
+    def test_chaos_cluster_configs_round_trip(self):
+        """Inline model dicts, inline hardware envs, fault and retry
+        dicts, all in one tree."""
+        for seed in range(6):
+            config = random_cluster_run_config(
+                np.random.default_rng(seed), seed, chaos=True
+            )
+            assert round_trip(config) == config
+
 
 # Hypothesis strategy over the full tree (preset-named scenarios).
 scenario_configs = st.builds(
@@ -111,7 +129,10 @@ system_configs = st.builds(
     SystemConfig,
     name=st.sampled_from(system_names()),
     options=st.just({}),
+    passes=st.lists(st.sampled_from(pass_names()), max_size=3).map(tuple),
 )
+# Inline fault/retry dicts come from the chaos fuzzer's own samplers.
+rng_seeds = st.integers(0, 2**32 - 1).map(np.random.default_rng)
 cluster_configs = st.builds(
     ClusterConfig,
     replicas=st.integers(1, 8),
@@ -123,12 +144,35 @@ cluster_configs = st.builds(
     max_wait_s=st.floats(0.1, 120.0, allow_nan=False),
     slo_s=st.floats(1.0, 600.0, allow_nan=False),
     partition_experts=st.booleans(),
+    expert_slots_per_replica=st.integers(0, 16),
+    prompt_quantum=st.integers(1, 256),
+    engine=st.sampled_from(["serial", "batched", "sharded"]),
+    jobs=st.integers(1, 4),
+    faults=st.one_of(
+        st.just(""),
+        st.sampled_from(fault_preset_names()),
+        rng_seeds.map(lambda rng: random_fault_config(rng, 4)),
+    ),
+    retry=rng_seeds.map(random_retry_config),
+    scheduler=st.sampled_from(scheduler_names()),
 )
 serve_configs = st.builds(
     ServeConfig,
     arrival=st.sampled_from(["poisson", "bursty"]),
     requests=st.integers(1, 64),
     rate_per_s=st.floats(0.1, 20.0, allow_nan=False),
+    hot_experts=st.one_of(
+        st.just({}),
+        st.sampled_from([{"mode": "auto"}, {"mode": "none"}]),
+        st.fixed_dictionaries({
+            "mode": st.just("zipf"),
+            "skew": st.floats(0.1, 3.0, allow_nan=False),
+            "seed": st.integers(0, 2**31 - 1),
+        }),
+        st.fixed_dictionaries({
+            "mode": st.just("pin"), "expert": st.integers(0, 7),
+        }),
+    ),
 )
 run_configs = st.builds(
     RunConfig,
@@ -217,6 +261,46 @@ class TestAggregatedErrors:
         joined = "\n".join(exc.value.errors)
         assert "scenario.batch_size: expected int" in joined
         assert "scenario.skew: expected float" in joined
+
+    @pytest.mark.parametrize(
+        "tree, path",
+        [
+            (
+                {"cluster": {"faults": {"seed": "x", "crash_rate_per_hour": 10.0}}},
+                "cluster.faults.seed",
+            ),
+            (
+                {"cluster": {"faults": {"breaker_threshold": 2.5}}},
+                "cluster.faults.breaker_threshold",
+            ),
+            (
+                {"cluster": {"faults": {"crash_rate_per_hour": True}}},
+                "cluster.faults.crash_rate_per_hour",
+            ),
+            (
+                {"cluster": {"retry": {"max_attempts": 2.5}}},
+                "cluster.retry.max_attempts",
+            ),
+            (
+                {
+                    "scenario": {
+                        "env": {
+                            **dataclasses.asdict(ENV1),
+                            "gpu": {
+                                **dataclasses.asdict(ENV1.gpu),
+                                "flops_per_s": "fast",
+                            },
+                        }
+                    }
+                },
+                "scenario.env.gpu.flops_per_s",
+            ),
+        ],
+    )
+    def test_inline_dicts_are_type_checked(self, tree, path):
+        with pytest.raises(ConfigValidationError) as exc:
+            RunConfig.from_dict(tree)
+        assert [e.split(":")[0] for e in exc.value.errors] == [path]
 
 
 class TestSetOverrides:

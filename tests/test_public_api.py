@@ -245,3 +245,7 @@ class TestCLICoverage:
         with pytest.raises(SystemExit):
             main(["serve", "--requests", "2", "--faults", "no-such-preset",
                   "--fault-seed", "1"])
+
+    def test_serve_ill_typed_inline_fault_field(self):
+        with pytest.raises(SystemExit, match="cluster.faults.seed: expected int"):
+            main(["serve", "--faults", '{"seed": "x", "crash_rate_per_hour": 10}'])
