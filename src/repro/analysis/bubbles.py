@@ -54,46 +54,18 @@ class BubbleReport:
 def analyze_bubbles(timeline: Timeline) -> BubbleReport:
     """Classify every GPU idle gap of the timeline.
 
-    Compiled-executor timelines take an array-backed path over the lazy
-    view (no :class:`~repro.runtime.timeline.ExecutedOp` materialization);
-    its per-class sums are accumulated in the same gap order with the
-    same arithmetic as the legacy scan, so both paths are bit-identical.
-    """
-    view = timeline._view
-    if view is not None and not timeline.executed_is_materialized:
-        inter, intra, other = _classify_gaps_arrays(view)
-    else:
-        inter = intra = other = 0.0
-        for gap in timeline.idle_gaps(GPU):
-            phase = gap.before_op.op.phase
-            if phase in (PHASE_EXPERT, PHASE_GATE):
-                intra += gap.duration
-            elif phase == PHASE_ATTENTION:
-                inter += gap.duration
-            else:
-                other += gap.duration
-    return BubbleReport(
-        total_time=timeline.makespan,
-        busy_time=timeline.busy_time.get(GPU, 0.0),
-        inter_layer=inter,
-        intra_layer=intra,
-        other_idle=other,
-    )
-
-
-def _classify_gaps_arrays(view) -> tuple[float, float, float]:
-    """Array-backed gap scan over a compiled-executor view.
-
     GPU ops run FIFO, so issue order equals time order and the idle
     frontier is simply the previous op's end — the gap array is one
-    vectorized subtraction. Only the (few) significant gaps are walked
-    in Python, in the same order the legacy scan visits them.
+    vectorized subtraction over the timeline's start/end arrays (no
+    :class:`~repro.runtime.timeline.ExecutedOp` materialization). Only
+    the (few) significant gaps are walked in Python, summed per class in
+    gap order.
     """
-    compiled = view.compiled
+    compiled = timeline.compiled
     ids = np.flatnonzero(compiled.resources == RESOURCE_CODES[GPU])
     inter = intra = other = 0.0
     if ids.size >= 2:
-        gaps = view.starts[ids][1:] - view.ends[ids][:-1]
+        gaps = timeline.starts[ids][1:] - timeline.ends[ids][:-1]
         phases = compiled._schedule._phases
         for k in np.flatnonzero(gaps > 1e-9).tolist():
             phase = phases[ids[k + 1]]
@@ -103,7 +75,13 @@ def _classify_gaps_arrays(view) -> tuple[float, float, float]:
                 inter += float(gaps[k])
             else:
                 other += float(gaps[k])
-    return inter, intra, other
+    return BubbleReport(
+        total_time=timeline.makespan,
+        busy_time=timeline.busy_time.get(GPU, 0.0),
+        inter_layer=inter,
+        intra_layer=intra,
+        other_idle=other,
+    )
 
 
 def block_time(timeline: Timeline, layer: int, step: int | None = None) -> float:

@@ -7,7 +7,6 @@ Subcommands mirror how the paper's system is operated:
 * ``run``        — execute Klotski on a workload, print metrics
 * ``compare``    — run Klotski and the baselines on one scenario (Fig. 10)
 * ``sweep-n``    — throughput vs batch-group size (Fig. 14)
-* ``export-trace`` — save a run's pipeline as Chrome-tracing JSON
 * ``serve``      — simulate a multi-replica cluster serving a request
   stream behind a pluggable router (``repro.cluster``)
 * ``experiments`` — declarative experiment orchestration
@@ -19,8 +18,9 @@ Subcommands mirror how the paper's system is operated:
 * ``profile``    — run one traced pipeline and print the span tree and
   top-k table of the simulator's *own* wall time (``repro.obs``)
 * ``validate``   — correctness harness (``repro.validation``): fuzz
-  randomized-but-seeded configs through the legacy and compiled executor
-  engines; every failure payload carries the replayable config blob
+  randomized-but-seeded configs through the executor diffed against its
+  per-op reference, the invariant checkers, and the cluster engines;
+  every failure payload carries the replayable config blob
 
 The flags are a *view over the declarative config schema*
 (:mod:`repro.api`): scenario flags are derived from
@@ -31,8 +31,9 @@ cover (dotted paths, JSON values).
 
 ``run``, ``serve``, and ``experiments run`` accept ``--trace PATH``:
 one Chrome-trace file interleaving the simulator's own spans with the
-simulated timeline lanes (see :mod:`repro.obs.export`). ``serve``'s
-arrival-replay file moved to ``--arrival-trace``.
+simulated timeline lanes (see :mod:`repro.obs.export`); ``run --trace``
+is how a run's pipeline is exported for ``chrome://tracing`` or
+Perfetto. ``serve``'s arrival-replay file moved to ``--arrival-trace``.
 
 JSON output is uniform: every subcommand's ``--json`` emits one envelope
 ``{"command": <name>, "schema_version": 1, "result": <payload>,
@@ -81,7 +82,6 @@ from repro.hardware.calibrate import TimingCache, measure
 from repro.obs import build_manifest
 from repro.obs.export import save_trace
 from repro.passes import DEFAULT_PASS_QUEUE
-from repro.runtime.traceexport import save_chrome_trace
 
 # perf_counter() at entry to main(); the manifest's wall_s baseline.
 _CLI_T0: float | None = None
@@ -758,10 +758,8 @@ def _cell_ms(seconds: float) -> float:
 def _compare_bench(payload: dict, baseline: dict, tolerance: float) -> dict:
     """Diff this run's bench timings against a baseline BENCH.json payload.
 
-    Cells are matched by experiment name; baselines written before the
-    ``ms`` field exist are handled via their legacy ``seconds`` field.
-    The full-scale fig10 cold/warm timings are compared when both sides
-    carry them. A cell regresses when it is more than ``tolerance``
+    Cells are matched by experiment name. The full-scale fig10 cold/warm
+    timings are compared when both sides carry them. A cell regresses when it is more than ``tolerance``
     (fractional) slower than its baseline.
     """
     rows = []
@@ -787,10 +785,7 @@ def _compare_bench(payload: dict, baseline: dict, tolerance: float) -> dict:
         base = base_cells.get(cell["experiment"])
         if base is None:
             continue
-        base_ms = base.get("ms")
-        if base_ms is None and "seconds" in base:
-            base_ms = base["seconds"] * 1e3
-        add(cell["experiment"], base_ms, cell["ms"])
+        add(cell["experiment"], base.get("ms"), cell["ms"])
     full, base_full = payload.get("fullscale_fig10"), baseline.get("fullscale_fig10")
     if full and base_full:
         for key in ("cold_s", "warm_s"):
@@ -943,7 +938,6 @@ def cmd_validate(args) -> int:
     config = FuzzConfig(
         cases=chaos if chaos > 0 else args.fuzz,
         seed=args.seed,
-        engine=args.engine,
         cluster_every=args.cluster_every,
         chaos=chaos > 0,
         passes=args.passes and chaos == 0,
@@ -1011,18 +1005,6 @@ def cmd_profile(args) -> int:
     print(tracer.format_top(spans, k=args.top))
     if args.trace:
         print(f"wrote trace {args.trace} (open in Perfetto or chrome://tracing)")
-    return 0
-
-
-def cmd_export_trace(args) -> int:
-    scenario = _scenario(args, num_batches=args.n or 4)
-    result = build_system("klotski").run(scenario)
-    save_chrome_trace(result.timeline, args.out)
-    print(
-        f"wrote {args.out}: {len(result.timeline.executed)} events, "
-        f"makespan {result.timeline.makespan:.2f} s "
-        "(open in chrome://tracing or Perfetto)"
-    )
     return 0
 
 
@@ -1266,11 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="base campaign seed")
     p.add_argument(
-        "--engine", default="both", choices=["both", "compiled", "legacy"],
-        help="run both engines differentially, or a single engine with "
-        "invariant checks only",
-    )
-    p.add_argument(
         "--cluster-every", type=int, default=4, metavar="K",
         help="every K-th case simulates a cluster instead of a pipeline",
     )
@@ -1294,11 +1271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--n-step", type=int, default=3)
     p.set_defaults(func=cmd_sweep_n)
-
-    p = scenario_parser("export-trace", "export a run as Chrome tracing JSON")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default="klotski_trace.json")
-    p.set_defaults(func=cmd_export_trace)
 
     p = scenario_parser(
         "profile", "trace one pipeline run and print the span profile"

@@ -24,9 +24,21 @@ from pathlib import Path
 
 from repro.obs import tracer
 from repro.obs.tracer import ATTRS, DEPTH, END, NAME, START, WORKER
+from repro.runtime.schedule import RESOURCES
 
 SELF_PID = 1
 SIMULATED_PID = 0
+
+# Stable tid assignment so the timeline's lanes sort in pipeline order.
+_LANE = {resource: i for i, resource in enumerate(RESOURCES)}
+
+_PHASE_COLORS = {
+    "attention": "thread_state_running",
+    "gate": "thread_state_runnable",
+    "expert": "thread_state_iowait",
+    "transfer": "rail_load",
+    "kv": "rail_idle",
+}
 
 
 def spans_to_chrome_events(spans: list[list] | None = None) -> list[dict]:
@@ -74,6 +86,61 @@ def spans_to_chrome_events(spans: list[list] | None = None) -> list[dict]:
         }
         events.append(event)
     return events
+
+
+def timeline_to_chrome_trace(timeline) -> dict:
+    """Convert an executed timeline to a Chrome trace event dict.
+
+    The interactive equivalent of the paper's Figure 15 pipeline plots:
+    one lane per simulated resource (GPU, the two H2D streams, D2H,
+    disk), ops colored by phase.
+
+    Args:
+        timeline: the executed
+            :class:`~repro.runtime.timeline.Timeline` to export.
+
+    Returns:
+        A ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` dict with
+        every lane under ``pid 0`` and timestamps in microseconds.
+    """
+    pid = SIMULATED_PID
+    events = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": "simulated timeline"},
+        }
+    ]
+    # thread_name metadata records must use the reserved name.
+    events.extend(
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": _LANE[resource],
+            "args": {"name": resource},
+        }
+        for resource in RESOURCES
+    )
+    for executed in timeline.executed:
+        op = executed.op
+        event = {
+            "name": op.label,
+            "cat": op.phase,
+            "ph": "X",
+            "ts": executed.start * 1e6,
+            "dur": max(executed.duration * 1e6, 0.001),
+            "pid": pid,
+            "tid": _LANE[op.resource],
+            "args": {"layer": op.layer, "batch": op.batch, "phase": op.phase},
+        }
+        color = _PHASE_COLORS.get(op.phase)
+        if color:
+            event["cname"] = color
+        events.append(event)
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def report_to_chrome_events(report) -> list[dict]:
@@ -148,11 +215,7 @@ def chrome_trace(
     """
     events: list[dict] = []
     if timeline is not None:
-        from repro.runtime.traceexport import timeline_to_chrome_trace
-
-        events.extend(
-            timeline_to_chrome_trace(timeline, pid=SIMULATED_PID)["traceEvents"]
-        )
+        events.extend(timeline_to_chrome_trace(timeline)["traceEvents"])
     if report is not None:
         events.extend(report_to_chrome_events(report))
     events.extend(spans_to_chrome_events(spans))

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hardware.spec import HardwareSpec
 from repro.passes.rewrite import OpMap
 from repro.runtime.schedule import CompiledSchedule, Schedule
@@ -30,33 +28,12 @@ class PassContext:
         compiled: its frozen form.
         timeline: the executed baseline the pass is trying to beat.
         hardware: the machine the schedule targets.
-        starts / ends: per-op executed times as float64 arrays (pulled
-            from the lazy view when available, so inspecting them never
-            materializes ``ExecutedOp`` objects).
     """
 
     schedule: Schedule
     compiled: CompiledSchedule
     timeline: Timeline
     hardware: HardwareSpec
-    starts: np.ndarray
-    ends: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        schedule: Schedule,
-        compiled: CompiledSchedule,
-        timeline: Timeline,
-        hardware: HardwareSpec,
-    ) -> "PassContext":
-        view = timeline._view
-        if view is not None:
-            starts, ends = view.starts, view.ends
-        else:
-            starts = np.array([e.start for e in timeline.executed])
-            ends = np.array([e.end for e in timeline.executed])
-        return cls(schedule, compiled, timeline, hardware, starts, ends)
 
     @property
     def makespan(self) -> float:

@@ -230,7 +230,7 @@ class PassPipeline:
                 wall_ms=(time.perf_counter() - t0) * 1e3, **before,
             ), None
 
-        ctx = PassContext.build(cur_sched, cur_compiled, cur_timeline, hardware)
+        ctx = PassContext(cur_sched, cur_compiled, cur_timeline, hardware)
         try:
             result = p.apply(ctx)
         except ScheduleError as exc:

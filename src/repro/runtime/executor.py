@@ -8,20 +8,14 @@ Algorithm 1. Because issue order is a valid topological order (the schedule
 IR only allows backward deps), start/end times can be computed in a single
 pass.
 
-Two engines implement those semantics:
-
-* the **compiled** engine (default) freezes the schedule into its
-  structure-of-arrays form and computes start/end times in one tight pass
-  over preconverted lists, then replays memory vectorized (a stable sort
-  of the flat event stream plus a per-pool ``cumsum``, with capacity
-  checks against the vectorized running peaks). It returns a *lazy*
-  :class:`~repro.runtime.timeline.Timeline` whose per-op view is only
-  materialized on demand;
-* the **legacy** engine walks materialized :class:`Op` objects one at a
-  time and builds the full view eagerly. It is kept as the executable
-  specification — the equivalence property tests assert the compiled
-  engine reproduces it bit-for-bit (start/end times, busy time, memory
-  usage, peaks, and OOM behaviour).
+The executor freezes the schedule into its structure-of-arrays form and
+computes start/end times in one tight pass over preconverted lists, then
+replays memory vectorized (a stable sort of the flat event stream plus a
+per-pool ``cumsum``, with capacity checks against the vectorized running
+peaks). It returns a :class:`~repro.runtime.timeline.Timeline` whose
+per-op view is only materialized on demand. The slow, obvious per-op
+reference it must reproduce bit-for-bit lives next to the harness that
+diffs against it, :func:`repro.validation.differential.reference_run`.
 
 Memory effects are replayed in simulated-time order (frees before allocs
 at identical times) to produce per-pool usage timelines and detect
@@ -43,7 +37,7 @@ from repro.runtime.schedule import (
     CompiledSchedule,
     Schedule,
 )
-from repro.runtime.timeline import ExecutedOp, Timeline, _CompiledView
+from repro.runtime.timeline import Timeline
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,15 @@ class ExecutorConfig:
     # Pools whose capacity is enforced; DRAM/disk planning errors are
     # placement bugs, VRAM overflow is the paper's OOM condition.
     enforced_pools: tuple[str, ...] = ("vram",)
-    # "compiled" (vectorized fast path) or "legacy" (per-op reference).
-    engine: str = "compiled"
+
+
+def default_capacities(hardware: HardwareSpec) -> dict[str, int]:
+    """Pool capacities of ``hardware``: usable VRAM, DRAM and disk bytes."""
+    return {
+        "vram": hardware.usable_vram(),
+        "dram": hardware.dram_bytes,
+        "disk": hardware.disk_bytes,
+    }
 
 
 class Executor:
@@ -64,15 +65,6 @@ class Executor:
     def __init__(self, hardware: HardwareSpec, config: ExecutorConfig | None = None):
         self.hardware = hardware
         self.config = config or ExecutorConfig()
-
-    def _capacities(self, capacities: dict[str, int] | None) -> dict[str, int]:
-        if capacities is not None:
-            return capacities
-        return {
-            "vram": self.hardware.usable_vram(),
-            "dram": self.hardware.dram_bytes,
-            "disk": self.hardware.disk_bytes,
-        }
 
     def run(
         self,
@@ -88,19 +80,10 @@ class Executor:
         VRAM / DRAM / disk sizes).
         """
         if isinstance(schedule, CompiledSchedule):
-            return self._run_compiled(schedule, capacities)
-        if self.config.engine == "legacy":
-            with span("executor.legacy"):
-                return self._run_legacy(schedule, capacities)
-        with span("schedule.freeze"):
-            compiled = schedule.freeze()
-        return self._run_compiled(compiled, capacities)
-
-    # ---- compiled engine ---------------------------------------------------
-
-    def _run_compiled(
-        self, compiled: CompiledSchedule, capacities: dict[str, int] | None
-    ) -> Timeline:
+            compiled = schedule
+        else:
+            with span("schedule.freeze"):
+                compiled = schedule.freeze()
         starts: list[float] = []
         ends: list[float] = []
         available = [0.0] * len(RESOURCES)
@@ -132,8 +115,8 @@ class Executor:
 
         starts_arr = np.array(starts, dtype=np.float64)
         ends_arr = np.array(ends, dtype=np.float64)
-        # bincount accumulates in array order, matching the legacy engine's
-        # sequential ``+=`` float summation exactly.
+        # bincount accumulates in array order, matching the reference
+        # engine's sequential ``+=`` float summation exactly.
         busy_arr = np.bincount(
             compiled.resources,
             weights=compiled.durations,
@@ -142,18 +125,14 @@ class Executor:
         busy = {resource: float(busy_arr[i]) for i, resource in enumerate(RESOURCES)}
         makespan = max(ends) if ends else 0.0
 
+        if capacities is None:
+            capacities = default_capacities(self.hardware)
         with span("executor.memory_replay"):
             usage_arrays, peaks = self._replay_memory_compiled(
-                compiled, starts_arr, ends_arr, self._capacities(capacities)
+                compiled, starts_arr, ends_arr, capacities
             )
-        view = _CompiledView(compiled, starts_arr, ends_arr, usage_arrays)
         return Timeline(
-            executed=None,
-            makespan=makespan,
-            busy_time=busy,
-            memory_usage=None,
-            memory_peak=peaks,
-            compiled_view=view,
+            compiled, starts_arr, ends_arr, makespan, busy, peaks, usage_arrays
         )
 
     def _replay_memory_compiled(
@@ -176,7 +155,7 @@ class Executor:
         )
         # Event arrays are already in replay (insertion) order, and lexsort
         # is stable, so ties on (time, kind) keep that order — exactly the
-        # legacy engine's ``events.sort(key=(time, kind))``.
+        # reference engine's ``events.sort(key=(time, kind))``.
         order = np.lexsort((compiled.ev_kind, times))
         times_s = times[order]
         deltas_s = compiled.ev_delta[order]
@@ -206,73 +185,4 @@ class Executor:
         if oom is not None:
             _, pool, delta, level = oom
             raise OutOfMemoryError(pool, delta, capacities[pool] - (level - delta))
-        return usage, peaks
-
-    # ---- legacy engine (executable specification) --------------------------
-
-    def _run_legacy(
-        self, schedule: Schedule, capacities: dict[str, int] | None
-    ) -> Timeline:
-        schedule.validate()
-        available = {resource: 0.0 for resource in RESOURCES}
-        busy = {resource: 0.0 for resource in RESOURCES}
-        end_time: list[float] = []
-        executed: list[ExecutedOp] = []
-        makespan = 0.0
-
-        for op in schedule:
-            ready = available[op.resource]
-            for dep in op.deps:
-                dep_end = end_time[dep]
-                if dep_end > ready:
-                    ready = dep_end
-            finish = ready + op.duration
-            available[op.resource] = finish
-            busy[op.resource] += op.duration
-            end_time.append(finish)
-            executed.append(ExecutedOp(op, ready, finish))
-            if finish > makespan:
-                makespan = finish
-
-        usage, peaks = self._replay_memory(executed, self._capacities(capacities))
-        return Timeline(
-            executed=executed,
-            makespan=makespan,
-            busy_time=busy,
-            memory_usage=usage,
-            memory_peak=peaks,
-        )
-
-    def _replay_memory(
-        self,
-        executed: list[ExecutedOp],
-        capacities: dict[str, int],
-    ) -> tuple[dict[str, list[tuple[float, int]]], dict[str, int]]:
-        events: list[tuple[float, int, str, int, str]] = []
-        for e in executed:
-            # Frees sort before allocs at identical times (free-then-alloc
-            # steady-state reuse should not double count).
-            for effect in e.op.frees:
-                events.append((e.end, 0, effect.pool, -effect.nbytes, e.op.label))
-            for effect in e.op.allocs:
-                events.append((e.start, 1, effect.pool, effect.nbytes, e.op.label))
-        events.sort(key=lambda ev: (ev[0], ev[1]))
-
-        usage: dict[str, list[tuple[float, int]]] = {}
-        current: dict[str, int] = {}
-        peaks: dict[str, int] = {}
-        for time, _, pool, delta, label in events:
-            level = current.get(pool, 0) + delta
-            current[pool] = level
-            usage.setdefault(pool, []).append((time, level))
-            if level > peaks.get(pool, 0):
-                peaks[pool] = level
-            capacity = capacities.get(pool)
-            if (
-                self.config.check_memory
-                and capacity is not None
-                and pool in self.config.enforced_pools
-                and level > capacity
-            ):
-                raise OutOfMemoryError(pool, delta, capacity - (level - delta))
         return usage, peaks

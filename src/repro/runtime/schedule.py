@@ -98,7 +98,8 @@ class CompiledSchedule:
     The compiled form is what the executor's fast path consumes: every
     per-op attribute is a parallel numpy array, dependencies are CSR
     encoded, and memory effects are a single flat event stream ordered by
-    ``(op, kind)`` — the exact order the legacy executor replayed them in.
+    ``(op, kind)`` — the exact order the per-op reference executor
+    replays them in.
 
     Attributes:
         num_ops: number of ops in the snapshot.

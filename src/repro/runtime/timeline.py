@@ -1,21 +1,19 @@
 """Executed timelines: per-op start/end times plus derived statistics.
 
-A :class:`Timeline` produced by the compiled executor path is *lazy*: it
-holds the compiled schedule plus start/end arrays, and only materializes
-per-op :class:`ExecutedOp` objects (or the per-pool usage step functions)
-when somebody actually asks for them. Callers that only need makespan,
-busy time, or memory peaks — the metrics hot path — never pay for the
-full view.
+A :class:`Timeline` holds the compiled schedule plus start/end arrays,
+and only materializes per-op :class:`ExecutedOp` objects (or the
+per-pool usage step functions) when somebody actually asks for them.
+Callers that only need makespan, busy time, or memory peaks — the
+metrics hot path — never pay for the full view.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.schedule import GPU, RESOURCES, Op
+from repro.runtime.schedule import GPU, RESOURCES, CompiledSchedule, Op
 
 
 @dataclass(frozen=True)
@@ -45,82 +43,47 @@ class IdleGap:
         return self.end - self.start
 
 
-class _CompiledView:
-    """Lazy backing store for timelines produced by the compiled executor.
-
-    Holds the :class:`~repro.runtime.schedule.CompiledSchedule` and the
-    executed start/end arrays; materializes :class:`ExecutedOp` lists and
-    per-pool usage step functions on demand.
-    """
-
-    __slots__ = ("compiled", "starts", "ends", "usage_arrays")
-
-    def __init__(self, compiled, starts: np.ndarray, ends: np.ndarray, usage_arrays):
-        self.compiled = compiled
-        self.starts = starts
-        self.ends = ends
-        # pool -> (times float64 array, levels int64 array), replay order.
-        self.usage_arrays = usage_arrays
-
-    def materialize_executed(self) -> list[ExecutedOp]:
-        ops = self.compiled._schedule.ops
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        return [
-            ExecutedOp(ops[i], starts[i], ends[i])
-            for i in range(self.compiled.num_ops)
-        ]
-
-    def materialize_usage(self) -> dict[str, list[tuple[float, int]]]:
-        return {
-            pool: list(zip(times.tolist(), levels.tolist()))
-            for pool, (times, levels) in self.usage_arrays.items()
-        }
-
-    def idle_time(self, resource: str, min_duration: float) -> float:
-        code = RESOURCES.index(resource)
-        mask = self.compiled.resources == code
-        starts = self.starts[mask]
-        if starts.size < 2:
-            return 0.0
-        # Ops on one resource run FIFO, so ends are non-decreasing and the
-        # idle frontier is simply the previous op's end.
-        gaps = starts[1:] - self.ends[mask][:-1]
-        return float(gaps[gaps > min_duration].sum())
-
-
 class Timeline:
     """The result of executing a schedule.
 
+    One representation, whichever engine produced it: the executed
+    schedule plus per-op start/end arrays and the derived totals. The
+    per-op :class:`ExecutedOp` list and the per-pool ``(time, level)``
+    step functions are views over these arrays, built on first access —
+    callers that only need makespan, busy time, or memory peaks (the
+    metrics hot path) never pay for them.
+
     Attributes (all constructor arguments):
-        executed: per-op start/end times (materialized lazily when the
-            timeline came from the compiled executor path).
+        compiled: the executed
+            :class:`~repro.runtime.schedule.CompiledSchedule`.
+        starts: per-op start times, float64 in op order.
+        ends: per-op end times, float64 in op order.
         makespan: end time of the last op.
         busy_time: per-resource total busy seconds.
-        memory_usage: per-pool ``(time, level)`` step functions.
         memory_peak: per-pool peak bytes.
+        usage_arrays: pool -> ``(times float64, levels int64)`` arrays
+            in replay order.
     """
 
     def __init__(
         self,
-        executed: list[ExecutedOp] | None = None,
-        makespan: float = 0.0,
-        busy_time: dict[str, float] | None = None,
-        memory_usage: dict[str, list[tuple[float, int]]] | None = None,
-        memory_peak: dict[str, int] | None = None,
-        *,
-        compiled_view: _CompiledView | None = None,
+        compiled: CompiledSchedule,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        makespan: float,
+        busy_time: dict[str, float],
+        memory_peak: dict[str, int],
+        usage_arrays: dict[str, tuple[np.ndarray, np.ndarray]],
     ):
-        self._executed = executed
+        self.compiled = compiled
+        self.starts = starts
+        self.ends = ends
         self.makespan = makespan
-        self.busy_time = busy_time if busy_time is not None else {}
-        self._memory_usage = memory_usage
-        self.memory_peak = memory_peak if memory_peak is not None else {}
-        self._view = compiled_view
-        if executed is None and compiled_view is None:
-            self._executed = []
-        if memory_usage is None and compiled_view is None:
-            self._memory_usage = {}
+        self.busy_time = busy_time
+        self.memory_peak = memory_peak
+        self.usage_arrays = usage_arrays
+        self._executed: list[ExecutedOp] | None = None
+        self._memory_usage: dict[str, list[tuple[float, int]]] | None = None
 
     # ---- lazy views --------------------------------------------------------
 
@@ -128,7 +91,13 @@ class Timeline:
     def executed(self) -> list[ExecutedOp]:
         """Per-op execution records (materialized on first access)."""
         if self._executed is None:
-            self._executed = self._view.materialize_executed()
+            ops = self.compiled._schedule.ops
+            self._executed = [
+                ExecutedOp(op, start, end)
+                for op, start, end in zip(
+                    ops, self.starts.tolist(), self.ends.tolist()
+                )
+            ]
         return self._executed
 
     @property
@@ -140,20 +109,19 @@ class Timeline:
     def memory_usage(self) -> dict[str, list[tuple[float, int]]]:
         """Per-pool usage step functions (materialized on first access)."""
         if self._memory_usage is None:
-            self._memory_usage = self._view.materialize_usage()
+            self._memory_usage = {
+                pool: list(zip(times.tolist(), levels.tolist()))
+                for pool, (times, levels) in self.usage_arrays.items()
+            }
         return self._memory_usage
 
     def start_of(self, op_id: int) -> float:
         """Start time of one op without materializing the full view."""
-        if self._view is not None:
-            return float(self._view.starts[op_id])
-        return self.executed[op_id].start
+        return float(self.starts[op_id])
 
     def end_of(self, op_id: int) -> float:
         """End time of one op without materializing the full view."""
-        if self._view is not None:
-            return float(self._view.ends[op_id])
-        return self.executed[op_id].end
+        return float(self.ends[op_id])
 
     # ---- derived statistics ------------------------------------------------
 
@@ -175,9 +143,15 @@ class Timeline:
         return gaps
 
     def idle_time(self, resource: str = GPU) -> float:
-        if self._view is not None and self._executed is None:
-            return self._view.idle_time(resource, 1e-9)
-        return sum(g.duration for g in self.idle_gaps(resource))
+        """Total idle seconds of ``resource`` between its first and last op."""
+        mask = self.compiled.resources == RESOURCES.index(resource)
+        starts = self.starts[mask]
+        if starts.size < 2:
+            return 0.0
+        # Ops on one resource run FIFO, so ends are non-decreasing and the
+        # idle frontier is simply the previous op's end.
+        gaps = starts[1:] - self.ends[mask][:-1]
+        return float(gaps[gaps > 1e-9].sum())
 
     def utilization(self, resource: str = GPU) -> float:
         """Busy fraction of the resource over the whole makespan."""
@@ -187,16 +161,9 @@ class Timeline:
 
     def memory_at(self, pool: str, time: float) -> int:
         """Pool usage at a given simulated time (step function lookup)."""
-        if self._view is not None and self._memory_usage is None:
-            entry = self._view.usage_arrays.get(pool)
-            if entry is None:
-                return 0
-            times, levels = entry
-            idx = int(np.searchsorted(times, time, side="right")) - 1
-            return int(levels[idx]) if idx >= 0 else 0
-        samples = self.memory_usage.get(pool, [])
-        if not samples:
+        entry = self.usage_arrays.get(pool)
+        if entry is None:
             return 0
-        times = [t for t, _ in samples]
-        idx = bisect_right(times, time) - 1
-        return samples[idx][1] if idx >= 0 else 0
+        times, levels = entry
+        idx = int(np.searchsorted(times, time, side="right")) - 1
+        return int(levels[idx]) if idx >= 0 else 0

@@ -123,8 +123,9 @@ class InferenceSystem:
         """Build the scenario's schedule without executing it.
 
         This is the system's planning/emission half of :meth:`run`; the
-        validation subsystem uses it to run one schedule through several
-        executor engines (differential testing) and invariant checkers.
+        validation subsystem uses it to run one schedule through the
+        executor and its per-op reference (differential testing) and the
+        invariant checkers.
 
         Args:
             scenario: the evaluation point to build for.

@@ -7,9 +7,10 @@ The correctness harness every refactor and optimization PR leans on:
   executed timelines (causality, resource exclusivity, memory
   conservation) and cluster reports (request conservation, replica
   serialization, SLO/goodput accounting);
-* :mod:`repro.validation.differential` — run one schedule under both
-  the legacy and compiled executor engines and diff every observable,
-  including OOM error payloads;
+* :mod:`repro.validation.differential` — run one schedule through the
+  executor and its per-op reference
+  (:func:`~repro.validation.differential.reference_run`) and diff
+  every observable, including OOM error payloads;
 * :mod:`repro.validation.pass_differential` — run the schedule-
   optimization pass pipeline (:mod:`repro.passes`) and independently
   re-prove op-multiset conservation, timeline invariants, and makespan

@@ -8,10 +8,10 @@ any :class:`~repro.api.RunConfig`, that all three produce **the same
 report to the last bit**: every request lifecycle op-for-op, every
 counter, every per-replica telemetry sample, every percentile, and — as
 a final catch-all — the canonical-JSON serialization of the whole
-report. The fuzzer (``validate --fuzz --engine both``), the Hypothesis
-suite (``tests/test_cluster_differential.py``), and the CI cluster job
-all feed this oracle, so any future change that breaks the equivalence
-is caught before it lands.
+report. The fuzzer (every cluster case of ``validate --fuzz``), the
+Hypothesis suite (``tests/test_cluster_differential.py``), and the CI
+cluster job all feed this oracle, so any future change that breaks the
+equivalence is caught before it lands.
 """
 
 from __future__ import annotations

@@ -6,25 +6,25 @@ constructors — and materializes it through :mod:`repro.api`. That makes
 every failure a **replayable JSON blob**: the report's ``failures``
 entries (surfaced verbatim by ``repro.cli validate --json``) carry the
 offending config's ``to_dict()`` form, so a CI failure reproduces with
-``RunConfig.from_dict(blob)`` plus the recorded engine/capacity knobs.
+``RunConfig.from_dict(blob)`` plus the recorded capacity knobs.
 Two case families:
 
 * **pipeline cases** — a random small model / hardware / workload /
-  system point; the system's schedule is built once and executed under
-  both the legacy and compiled engines. The two timelines are diffed
-  op-for-op (:mod:`repro.validation.differential`) and the compiled
-  timeline is invariant-checked (:mod:`repro.validation.invariants`).
-  A second *near-OOM* execution pins the VRAM capacity to a random
-  multiplier of the observed peak, forcing both engines to agree on
-  whether — and exactly how — the run dies;
+  system point; the system's schedule is built once and executed by
+  both the executor and its per-op reference. The two timelines are
+  diffed op-for-op (:mod:`repro.validation.differential`) and the
+  executor's timeline is invariant-checked
+  (:mod:`repro.validation.invariants`). A second *near-OOM* execution
+  pins the VRAM capacity to a random multiplier of the observed peak,
+  forcing both to agree on whether — and exactly how — the run dies;
 * **cluster cases** — a random fleet (heterogeneous hardware, random
   registry router, adversarial hot-expert skews) serving a random
   arrival process (Poisson, bursty MMPP, or trace replay), all encoded
   in the config's ``cluster``/``serve`` sections. The report is checked
   against the cluster conservation/causality/accounting invariants, the
   whole simulation is re-run from scratch to prove determinism under a
-  fixed seed, and (in ``both`` engine mode) the serial, batched, and
-  sharded cluster engines are diffed bit-for-bit through
+  fixed seed, and the serial, batched, and sharded cluster engines are
+  diffed bit-for-bit through
   :mod:`repro.validation.cluster_differential`.
 
 The generated models/machines are deliberately tiny (a case runs in tens
@@ -57,7 +57,7 @@ from repro.api import (
 from repro.errors import OutOfMemoryError, ReproError
 from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
 from repro.model.config import ModelConfig
-from repro.runtime.executor import Executor, ExecutorConfig
+from repro.runtime.executor import Executor, ExecutorConfig, default_capacities
 from repro.validation.differential import run_differential
 from repro.validation.invariants import check_cluster, check_timeline
 
@@ -69,8 +69,6 @@ class FuzzConfig:
     Attributes:
         cases: number of generated cases.
         seed: base seed; case ``i`` derives its RNG from ``(seed, i)``.
-        engine: ``both`` (differential), ``compiled``, or ``legacy``
-            (single-engine runs still get invariant checks).
         cluster_every: every N-th case is a cluster case (the rest are
             pipeline cases).
         chaos: when True, *every* case is a cluster case run under a
@@ -89,7 +87,6 @@ class FuzzConfig:
 
     cases: int = 25
     seed: int = 0
-    engine: str = "both"
     cluster_every: int = 4
     chaos: bool = False
     passes: bool = False
@@ -97,8 +94,6 @@ class FuzzConfig:
     def __post_init__(self):
         if self.cases < 0:
             raise ValueError("cases must be non-negative")
-        if self.engine not in ("both", "compiled", "legacy"):
-            raise ValueError("engine must be 'both', 'compiled', or 'legacy'")
         if self.cluster_every < 1:
             raise ValueError("cluster_every must be >= 1")
 
@@ -116,7 +111,8 @@ class FuzzReport:
         build_failures: cases whose schedule could not be built (planner
             infeasibility etc.) — skipped, not failures.
         violations: invariant violations, prefixed with the case tag.
-        diffs: cross-engine disagreements, prefixed with the case tag.
+        diffs: differential disagreements (executor vs. reference,
+            cluster engines, re-runs), prefixed with the case tag.
         failures: one dict per failing case, carrying the replayable
             config blob (``config`` is ``RunConfig.to_dict()`` form)
             plus that case's violation/diff lines and runtime knobs.
@@ -152,9 +148,9 @@ class FuzzReport:
             tag: replay coordinates (case index, base seed, system).
             config: the sampled run config.
             violations: invariant violations (empty: none).
-            diffs: cross-engine disagreements (empty: none).
-            **knobs: runtime context outside the config (engine mode,
-                near-OOM capacity override...).
+            diffs: differential disagreements (empty: none).
+            **knobs: runtime context outside the config (near-OOM
+                capacity override, accepted passes...).
         """
         self.violations.extend(f"{tag}: {v}" for v in violations)
         self.diffs.extend(f"{tag}: {d}" for d in diffs)
@@ -340,14 +336,13 @@ def random_run_config(rng: np.random.Generator) -> RunConfig:
 
 
 def run_pipeline_case(
-    case_seed: int, engine: str, report: FuzzReport, label: str = "",
+    case_seed: int, report: FuzzReport, label: str = "",
     *, passes: bool = False,
 ) -> None:
     """Run one pipeline case and fold its outcome into ``report``.
 
     Args:
         case_seed: deterministic seed of this case.
-        engine: ``both`` / ``compiled`` / ``legacy``.
         report: accumulator updated in place.
         label: replay coordinates prefixed to failure tags (the campaign
             runner passes ``--seed``/case-index information here).
@@ -366,39 +361,24 @@ def run_pipeline_case(
         report.build_failures += 1
         return
     schedule = built.schedule
-    capacities = {
-        "vram": scenario.hardware.usable_vram(),
-        "dram": scenario.hardware.dram_bytes,
-        "disk": scenario.hardware.disk_bytes,
-    }
+    capacities = default_capacities(scenario.hardware)
 
-    if engine == "both":
-        result = run_differential(
-            schedule, scenario.hardware, capacities=capacities
-        )
-        report.record(tag, config, diffs=result.diffs, engine=engine)
-        if result.oom:
-            report.ooms += 1
-            _near_oom_probe(schedule, scenario, config, rng, tag, report, peak=None)
-            return
-        timeline = result.timeline
-        if timeline is None:
-            return
-    else:
-        executor = Executor(scenario.hardware, ExecutorConfig(engine=engine))
-        try:
-            timeline = executor.run(schedule, capacities=capacities)
-        except OutOfMemoryError:
-            report.ooms += 1
-            return
+    result = run_differential(schedule, scenario.hardware, capacities=capacities)
+    report.record(tag, config, diffs=result.diffs)
+    if result.oom:
+        report.ooms += 1
+        _near_oom_probe(schedule, scenario, config, rng, tag, report, peak=None)
+        return
+    timeline = result.timeline
+    if timeline is None:
+        return
 
     violations = check_timeline(schedule, timeline, capacities=capacities)
-    report.record(tag, config, violations=violations, engine=engine)
-    if engine == "both":
-        _near_oom_probe(
-            schedule, scenario, config, rng, tag, report,
-            peak=timeline.memory_peak.get("vram", 0),
-        )
+    report.record(tag, config, violations=violations)
+    _near_oom_probe(
+        schedule, scenario, config, rng, tag, report,
+        peak=timeline.memory_peak.get("vram", 0),
+    )
     if passes:
         from repro.validation.pass_differential import run_pass_differential
 
@@ -416,17 +396,14 @@ def run_pipeline_case(
 def _near_oom_probe(schedule, scenario, config, rng, tag, report, *, peak) -> None:
     """Re-run with a VRAM budget pinned near the observed peak.
 
-    Both engines must agree on the outcome right at the memory cliff —
-    the historically bug-rich boundary (tie-broken frees vs. allocs,
-    first-violation selection). ``peak`` is the already-observed VRAM
+    The executor and its reference must agree on the outcome right at
+    the memory cliff — the historically bug-rich boundary (tie-broken
+    frees vs. allocs, first-violation selection). ``peak`` is the already-observed VRAM
     peak; pass None (the OOM branch, where no timeline exists) to
     measure it with an unchecked execution.
     """
     if peak is None:
-        unchecked = Executor(
-            scenario.hardware,
-            ExecutorConfig(check_memory=False, engine="compiled"),
-        )
+        unchecked = Executor(scenario.hardware, ExecutorConfig(check_memory=False))
         peak = unchecked.run(schedule).memory_peak.get("vram", 0)
     if peak <= 0:
         return
@@ -632,20 +609,17 @@ def run_cluster_case(
     case_seed: int,
     report: FuzzReport,
     label: str = "",
-    engine: str = "both",
     chaos: bool = False,
 ) -> None:
-    """Run one cluster case (invariants + determinism) into ``report``.
+    """Run one cluster case into ``report``: invariants, determinism, and
+    the serial/batched/sharded cluster engines diffed through
+    :func:`~repro.validation.run_cluster_differential` (sharded
+    in-process, to keep a case in the tens-of-milliseconds budget).
 
     Args:
         case_seed: deterministic seed of this case.
         report: accumulator updated in place.
         label: replay coordinates prefixed to failure tags.
-        engine: ``both`` additionally runs the serial/batched/sharded
-            cluster engines through
-            :func:`~repro.validation.run_cluster_differential` (sharded
-            in-process, to keep a case in the tens-of-milliseconds
-            budget); any other value skips the cross-engine pass.
         chaos: fuzz a fault model into the config; with an active plan
             the cross-engine pass degenerates into proving the
             fault-fallback path is identical from every engine entry
@@ -690,24 +664,21 @@ def run_cluster_case(
     ):
         report.record(tag, config, diffs=["re-run produced a different report"])
 
-    if engine == "both":
-        # Cross-engine pass: the batched and sharded fleet engines must
-        # reproduce the serial report bit-for-bit on this same config.
-        from repro.validation.cluster_differential import (
-            run_cluster_differential,
-        )
+    # Cross-engine pass: the batched and sharded fleet engines must
+    # reproduce the serial report bit-for-bit on this same config.
+    from repro.validation.cluster_differential import run_cluster_differential
 
-        result = run_cluster_differential(
-            config, jobs=1, shared_cache={}, requests=requests
-        )
-        report.record(tag, config, diffs=result.diffs, engine=engine)
+    result = run_cluster_differential(
+        config, jobs=1, shared_cache={}, requests=requests
+    )
+    report.record(tag, config, diffs=result.diffs)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Run a fuzzing campaign.
 
     Args:
-        config: campaign knobs (case count, base seed, engine mode).
+        config: campaign knobs (case count, base seed, case mix).
 
     Returns:
         The aggregated :class:`FuzzReport`; ``report.ok`` is the
@@ -726,13 +697,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         if config.chaos:
             # Chaos campaign: every case is a cluster run under a fuzzed
             # fault plan (replayable via the blob's cluster.faults).
-            run_cluster_case(
-                case_seed, report, label, engine=config.engine, chaos=True
-            )
+            run_cluster_case(case_seed, report, label, chaos=True)
         elif (i + 1) % config.cluster_every == 0:
-            run_cluster_case(case_seed, report, label, engine=config.engine)
+            run_cluster_case(case_seed, report, label)
         else:
-            run_pipeline_case(
-                case_seed, config.engine, report, label, passes=config.passes
-            )
+            run_pipeline_case(case_seed, report, label, passes=config.passes)
     return report

@@ -29,7 +29,6 @@ from repro.api.canonical import canonical_json, stable_hash
 from repro.cluster.report import ClusterReport
 from repro.runtime.schedule import RESOURCES, CompiledSchedule, Schedule
 from repro.runtime.timeline import Timeline
-from repro.validation.invariants import timeline_arrays
 
 DEFAULT_GOLDEN_ROOT = Path(__file__).resolve().parents[3] / "tests" / "goldens"
 
@@ -54,16 +53,14 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
         content-addressing ``digest`` field.
     """
     compiled = schedule if isinstance(schedule, CompiledSchedule) else schedule.freeze()
-    starts, ends = timeline_arrays(timeline)
-    usage = {}
-    for pool, samples in sorted(timeline.memory_usage.items()):
-        times = np.array([t for t, _ in samples], dtype=np.float64)
-        levels = np.array([v for _, v in samples], dtype=np.int64)
-        usage[pool] = {
-            "samples": len(samples),
-            "times_sha256": _array_digest(times),
-            "levels_sha256": _array_digest(levels),
+    usage = {
+        pool: {
+            "samples": len(times),
+            "times_sha256": _array_digest(times.astype(np.float64)),
+            "levels_sha256": _array_digest(levels.astype(np.int64)),
         }
+        for pool, (times, levels) in sorted(timeline.usage_arrays.items())
+    }
     payload = {
         "kind": "timeline",
         "num_ops": compiled.num_ops,
@@ -74,8 +71,8 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
         "memory_peak": {
             pool: int(peak) for pool, peak in sorted(timeline.memory_peak.items())
         },
-        "starts_sha256": _array_digest(starts.astype(np.float64)),
-        "ends_sha256": _array_digest(ends.astype(np.float64)),
+        "starts_sha256": _array_digest(timeline.starts.astype(np.float64)),
+        "ends_sha256": _array_digest(timeline.ends.astype(np.float64)),
         "memory_usage": usage,
     }
     payload["digest"] = stable_hash(payload)

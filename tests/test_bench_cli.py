@@ -105,25 +105,6 @@ class TestBenchCLI:
         assert compare["ok"] is False
         assert compare["regressions"] == ["table2"]
 
-    def test_compare_reads_legacy_seconds_baseline(self, tmp_path):
-        base = tmp_path / "base.json"
-        # Pre-ms baselines recorded whole seconds; table2 is far faster.
-        base.write_text(
-            json.dumps(
-                {"cells": [{"experiment": "table2", "seconds": 10.0}]}
-            )
-        )
-        out = tmp_path / "BENCH.json"
-        rc = main(
-            [
-                "bench", "table2", "--skip-full-cell", "--out", str(out),
-                "--compare", str(base),
-            ]
-        )
-        assert rc == 0
-        row = json.loads(out.read_text())["compare"]["rows"][0]
-        assert row["base_ms"] == pytest.approx(10_000.0)
-
     def test_missing_compare_baseline_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(

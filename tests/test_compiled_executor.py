@@ -1,9 +1,10 @@
 """Compiled-executor equivalence and lazy-timeline regression tests.
 
-The compiled (vectorized) engine must reproduce the legacy per-op engine
-bit-for-bit: start/end times, busy time, memory usage step functions,
-peaks, and OOM behaviour — on random DAGs covering every resource, dep
-shape, and memory-effect pattern, including capacity violations.
+The compiled (vectorized) executor must reproduce the per-op reference
+(:func:`repro.validation.differential.reference_run`) bit-for-bit:
+start/end times, busy time, memory usage step functions, peaks, and OOM
+behaviour — on random DAGs covering every resource, dep shape, and
+memory-effect pattern, including capacity violations.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.core.pipeline import PipelineBuilder, PipelineFeatures
 from repro.core.placement import PlacementConfig, plan_placement
 from repro.errors import OutOfMemoryError, ScheduleError
 from repro.hardware.costmodel import CostModel
-from repro.runtime.executor import Executor, ExecutorConfig
+from repro.runtime.executor import Executor
 from repro.runtime.schedule import (
     CPU,
     D2H,
@@ -22,9 +23,11 @@ from repro.runtime.schedule import (
     GPU,
     H2D,
     H2D_OD,
+    RESOURCES,
     MemEffect,
     Schedule,
 )
+from repro.validation.differential import reference_run
 from tests.test_executor import make_hw
 
 ALL_RESOURCES = [GPU, CPU, H2D, H2D_OD, D2H, DISK_IO]
@@ -69,34 +72,36 @@ def build_schedule(spec) -> Schedule:
 
 
 def run_both(schedule, capacities=None):
-    """(legacy outcome, compiled outcome): (timeline, None) or (None, exc)."""
+    """(reference outcome, compiled outcome): (timeline, None) or (None, exc)."""
+    hw = make_hw()
+    runs = (
+        lambda: reference_run(schedule, hw, capacities=capacities),
+        lambda: Executor(hw).run(schedule, capacities=capacities),
+    )
     outcomes = []
-    for engine in ("legacy", "compiled"):
-        ex = Executor(make_hw(), ExecutorConfig(engine=engine))
+    for run in runs:
         try:
-            outcomes.append((ex.run(schedule, capacities=capacities), None))
+            outcomes.append((run(), None))
         except OutOfMemoryError as exc:
             outcomes.append((None, exc))
     return outcomes
 
 
 def assert_equivalent(schedule, capacities=None):
-    (legacy_t, legacy_err), (fast_t, fast_err) = run_both(schedule, capacities)
-    if legacy_err is not None or fast_err is not None:
-        assert legacy_err is not None and fast_err is not None
-        assert legacy_err.pool == fast_err.pool
-        assert legacy_err.requested == fast_err.requested
-        assert legacy_err.available == fast_err.available
+    (ref_t, ref_err), (fast_t, fast_err) = run_both(schedule, capacities)
+    if ref_err is not None or fast_err is not None:
+        assert ref_err is not None and fast_err is not None
+        assert ref_err.pool == fast_err.pool
+        assert ref_err.requested == fast_err.requested
+        assert ref_err.available == fast_err.available
         return
-    assert fast_t.makespan == legacy_t.makespan
-    assert fast_t.busy_time == legacy_t.busy_time
-    assert fast_t.memory_peak == legacy_t.memory_peak
-    assert fast_t.memory_usage == legacy_t.memory_usage
-    assert [e.start for e in fast_t.executed] == [
-        e.start for e in legacy_t.executed
-    ]
-    assert [e.end for e in fast_t.executed] == [e.end for e in legacy_t.executed]
-    assert fast_t.executed == legacy_t.executed  # ops, effects, and times
+    assert fast_t.makespan == ref_t.makespan
+    assert fast_t.busy_time == ref_t.busy_time
+    assert fast_t.memory_peak == ref_t.memory_peak
+    assert fast_t.memory_usage == ref_t.memory_usage
+    assert [e.start for e in fast_t.executed] == [e.start for e in ref_t.executed]
+    assert [e.end for e in fast_t.executed] == [e.end for e in ref_t.executed]
+    assert fast_t.executed == ref_t.executed  # ops, effects, and times
 
 
 class TestEquivalenceProperty:
@@ -112,7 +117,7 @@ class TestEquivalenceProperty:
         assert_equivalent(build_schedule(spec), capacities={"vram": vram_capacity})
 
     def test_pipeline_schedule_identical(self, small_scenario):
-        """The real builder's DAG runs identically under both engines."""
+        """The real builder's DAG runs identically under both executors."""
         wl = small_scenario.workload
         placement = plan_placement(
             small_scenario.inventory(),
@@ -211,8 +216,24 @@ class TestLazyTimeline:
         timeline = result.timeline
         lazy_idle = timeline.idle_time(GPU)
         executed = timeline.executed  # materialize
-        assert timeline.idle_time(GPU) == pytest.approx(lazy_idle, rel=1e-9)
+        assert timeline.idle_time(GPU) == lazy_idle
         assert executed[0].start == timeline.start_of(0)
+
+    def test_idle_time_unchanged_by_materialization(self):
+        """Every resource's idle time is the same float before and after
+        the per-op view is built (one arithmetic path, not two)."""
+        from repro.api import ScenarioConfig, build_scenario, build_system
+
+        scenario = build_scenario(
+            ScenarioConfig(
+                model="mixtral-8x7b", env="env1", batch_size=16, n=4,
+                prompt_len=128, gen_len=4, seed=0,
+            )
+        )
+        timeline = build_system("moe-infinity").run(scenario).timeline
+        before = {r: timeline.idle_time(r) for r in RESOURCES}
+        assert timeline.executed
+        assert {r: timeline.idle_time(r) for r in RESOURCES} == before
 
 
 class TestProcessWideMemos:

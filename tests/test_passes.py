@@ -29,6 +29,7 @@ from repro.runtime.schedule import (
     Schedule,
 )
 from repro.validation import check_conservation, run_pass_differential
+from repro.validation.differential import reference_run
 from tests.test_executor import make_hw
 
 
@@ -341,8 +342,8 @@ class TestPassDifferential:
 
 class TestBubblesFastPath:
     def test_lazy_view_matches_materialized_scan(self):
-        """Satellite: array-backed gap scan is bit-identical to the legacy
-        ExecutedOp walk on the same timeline."""
+        """The array-backed gap scan gives bit-identical bubbles on the
+        executor's timeline and on the per-op reference's."""
         s = Schedule()
         s.compute(0.25, "head")
         t0 = s.transfer_in(1.5, "w0")
@@ -353,9 +354,8 @@ class TestBubblesFastPath:
         assert not timeline.executed_is_materialized
         fast = analyze_bubbles(timeline)
         assert not timeline.executed_is_materialized  # stayed lazy
-        _ = timeline.executed  # force materialization -> legacy path
-        legacy = analyze_bubbles(timeline)
-        assert fast == legacy  # bitwise: dataclass equality on floats
+        reference = analyze_bubbles(reference_run(s, make_hw()))
+        assert fast == reference  # bitwise: dataclass equality on floats
         assert fast.inter_layer > 0 and fast.intra_layer > 0
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.engine import KlotskiSystem
-from repro.runtime.schedule import GPU
-from repro.runtime.traceexport import save_chrome_trace, timeline_to_chrome_trace
+from repro.obs.export import SIMULATED_PID, save_trace, timeline_to_chrome_trace
+from repro.runtime.schedule import GPU, RESOURCES
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ class TestChromeTraceExport:
 
     def test_file_roundtrip(self, small_result, tmp_path):
         path = tmp_path / "trace.json"
-        save_chrome_trace(small_result.timeline, path)
+        save_trace(path, spans=[], timeline=small_result.timeline)
         data = json.loads(path.read_text())
         assert "traceEvents" in data
 
@@ -62,8 +62,10 @@ class TestCLI:
         parser = build_parser()
         text = parser.format_help()
         for command in ("plan", "calibrate", "run", "compare", "sweep-n",
-                        "export-trace"):
+                        "serve", "validate", "profile"):
             assert command in text
+        # Pipeline traces are exported through ``run --trace``.
+        assert parser.parse_args(["run", "--trace", "t.json"]).trace == "t.json"
 
     def test_plan_command(self, capsys):
         assert main(["plan", "--batch-size", "8", "--gen-len", "4"]) == 0
@@ -89,13 +91,22 @@ class TestCLI:
         assert "tok/s" in out
 
     def test_export_trace_command(self, capsys, tmp_path):
+        """``run --trace`` writes the simulated pid-0 resource lanes."""
         out_path = tmp_path / "t.json"
         code = main([
-            "export-trace", "--batch-size", "4", "--gen-len", "2",
-            "--n", "2", "--out", str(out_path),
+            "run", "--batch-size", "4", "--gen-len", "2",
+            "--n", "2", "--trace", str(out_path),
         ])
         assert code == 0
-        assert out_path.exists()
+        events = json.loads(out_path.read_text())["traceEvents"]
+        lanes = {
+            e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+            and e["pid"] == SIMULATED_PID
+        }
+        assert lanes == set(RESOURCES)
+        assert any(e["ph"] == "X" and e["pid"] == SIMULATED_PID for e in events)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):

@@ -18,7 +18,7 @@ from repro.core.engine import KlotskiSystem
 from repro.errors import OutOfMemoryError
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.schedule import GPU, MemEffect, Schedule
-from repro.runtime.timeline import ExecutedOp, Timeline
+from repro.runtime.timeline import Timeline
 from repro.serving.requests import ArrivalConfig, generate_requests
 from repro.serving.server import BatchingConfig
 from repro.validation import (
@@ -30,6 +30,7 @@ from repro.validation import (
     run_differential,
     run_fuzz,
 )
+from repro.validation.differential import reference_run
 from tests.conftest import TINY_MOE, small_hardware
 from tests.test_executor import make_hw
 
@@ -43,16 +44,14 @@ def small_schedule() -> Schedule:
     return s
 
 
-def run_legacy(schedule, capacities=None) -> Timeline:
-    executor = Executor(make_hw(), ExecutorConfig(engine="legacy"))
-    return executor.run(schedule, capacities=capacities)
+def run_reference(schedule, capacities=None) -> Timeline:
+    return reference_run(schedule, make_hw(), capacities=capacities)
 
 
 class TestTimelineInvariants:
     def test_clean_timeline_passes(self):
         s = small_schedule()
-        for engine in ("legacy", "compiled"):
-            t = Executor(make_hw(), ExecutorConfig(engine=engine)).run(s)
+        for t in (run_reference(s), Executor(make_hw()).run(s)):
             assert check_timeline(s, t) == []
 
     def test_real_pipeline_passes(self, small_scenario):
@@ -62,9 +61,9 @@ class TestTimelineInvariants:
 
     def test_causality_violation_detected(self):
         s = small_schedule()
-        t = run_legacy(s)
+        t = run_reference(s)
         # Pull op 1's start before its dependency's end.
-        t.executed[1] = ExecutedOp(t.executed[1].op, 0.5, t.executed[1].end)
+        t.starts[1] = 0.5
         names = {v.invariant for v in check_timeline(s, t)}
         assert "causality" in names
 
@@ -72,23 +71,22 @@ class TestTimelineInvariants:
         s = Schedule()
         s.compute(2.0, "a")
         s.compute(2.0, "b")
-        t = run_legacy(s)
+        t = run_reference(s)
         # Make op 1 start while op 0 still owns the GPU.
-        t.executed[1] = ExecutedOp(t.executed[1].op, 1.0, 3.0)
+        t.starts[1], t.ends[1] = 1.0, 3.0
         names = {v.invariant for v in check_timeline(s, t)}
         assert "resource-exclusivity" in names
 
     def test_duration_mismatch_detected(self):
         s = small_schedule()
-        t = run_legacy(s)
-        e = t.executed[2]
-        t.executed[2] = ExecutedOp(e.op, e.start, e.end + 0.125)
+        t = run_reference(s)
+        t.ends[2] += 0.125
         names = {v.invariant for v in check_timeline(s, t)}
         assert "duration" in names
 
     def test_busy_time_and_makespan_mismatch_detected(self):
         s = small_schedule()
-        t = run_legacy(s)
+        t = run_reference(s)
         t.busy_time[GPU] += 1.0
         t.makespan += 1.0
         names = {v.invariant for v in check_timeline(s, t)}
@@ -96,7 +94,7 @@ class TestTimelineInvariants:
 
     def test_memory_peak_mismatch_detected(self):
         s = small_schedule()
-        t = run_legacy(s)
+        t = run_reference(s)
         t.memory_peak["vram"] = 1
         names = {v.invariant for v in check_timeline(s, t)}
         assert "memory-peak" in names
@@ -117,8 +115,8 @@ class TestTimelineInvariants:
 
     def test_op_count_mismatch_detected(self):
         s = small_schedule()
-        t = run_legacy(s)
-        del t.executed[-1]
+        t = run_reference(s)
+        t.starts, t.ends = t.starts[:-1], t.ends[:-1]
         assert "op-count" in {v.invariant for v in check_timeline(s, t)}
 
 
@@ -225,15 +223,15 @@ class TestDifferential:
 
     def test_diff_detects_divergence(self):
         s = small_schedule()
-        a, b = run_legacy(s), run_legacy(s)
-        e = b.executed[1]
-        b.executed[1] = ExecutedOp(e.op, e.start + 0.5, e.end + 0.5)
+        a, b = run_reference(s), run_reference(s)
+        b.starts[1] += 0.5
+        b.ends[1] += 0.5
         diffs = diff_timelines(a, b)
         assert diffs and "op 1" in diffs[0]
 
     def test_diff_detects_makespan_and_busy(self):
         s = small_schedule()
-        a, b = run_legacy(s), run_legacy(s)
+        a, b = run_reference(s), run_reference(s)
         b.makespan += 1.0
         b.busy_time[GPU] += 1.0
         diffs = "\n".join(diff_timelines(a, b))
@@ -254,22 +252,17 @@ class TestDifferential:
         monkeypatch.setattr(Executor, "_replay_memory_compiled", no_oom)
         result = run_differential(s, make_hw(), capacities={"vram": 1})
         assert not result.ok
-        assert "only the legacy engine raised OOM" in result.diffs[0]
+        assert "only the reference engine raised OOM" in result.diffs[0]
 
 
 class TestFuzz:
     def test_campaign_is_clean_and_deterministic(self):
-        report = run_fuzz(FuzzConfig(cases=12, seed=2026, engine="both"))
+        report = run_fuzz(FuzzConfig(cases=12, seed=2026))
         assert report.ok, report.summary()
         assert report.cases == 12
         assert report.pipeline_cases + report.cluster_cases == 12
-        again = run_fuzz(FuzzConfig(cases=12, seed=2026, engine="both"))
+        again = run_fuzz(FuzzConfig(cases=12, seed=2026))
         assert report.to_dict() == again.to_dict()
-
-    def test_single_engine_modes(self):
-        for engine in ("compiled", "legacy"):
-            report = run_fuzz(FuzzConfig(cases=6, seed=5, engine=engine))
-            assert report.ok, report.summary()
 
     def test_chaos_campaign_is_clean_and_deterministic(self):
         report = run_fuzz(FuzzConfig(cases=4, seed=11, chaos=True))
@@ -281,8 +274,6 @@ class TestFuzz:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FuzzConfig(cases=-1)
-        with pytest.raises(ValueError):
-            FuzzConfig(engine="warp")
         with pytest.raises(ValueError):
             FuzzConfig(cluster_every=0)
 
@@ -324,15 +315,12 @@ class TestValidateCLI:
         report = FuzzReport(seed=7)
         config = RunConfig()
         report.record(
-            "pipeline case 0", config, violations=["boom"], engine="both"
+            "pipeline case 0", config, violations=["boom"], near_oom_cap=123
         )
         assert not report.ok
         blob = report.to_dict()["failures"][0]
         assert blob["violations"] == ["boom"]
-        assert blob["engine"] == "both"
+        assert blob["near_oom_cap"] == 123
         assert RunConfig.from_dict(blob["config"]) == config
         # The blob survives a JSON round trip (it is what --json prints).
         assert json.loads(json.dumps(blob))["config"] == config.to_dict()
-
-    def test_validate_single_engine(self, capsys):
-        assert main(["validate", "--fuzz", "4", "--engine", "legacy"]) == 0
