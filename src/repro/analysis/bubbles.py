@@ -61,12 +61,12 @@ def analyze_bubbles(timeline: Timeline) -> BubbleReport:
     the (few) significant gaps are walked in Python, summed per class in
     gap order.
     """
-    compiled = timeline.compiled
-    ids = np.flatnonzero(compiled.resources == RESOURCE_CODES[GPU])
+    schedule = timeline.schedule
+    ids = np.flatnonzero(schedule.resources == RESOURCE_CODES[GPU])
     inter = intra = other = 0.0
     if ids.size >= 2:
         gaps = timeline.starts[ids][1:] - timeline.ends[ids][:-1]
-        phases = compiled._schedule._phases
+        phases = schedule._phases
         for k in np.flatnonzero(gaps > 1e-9).tolist():
             phase = phases[ids[k + 1]]
             if phase in (PHASE_EXPERT, PHASE_GATE):

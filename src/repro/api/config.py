@@ -586,6 +586,7 @@ class ClusterConfig(_Section):
     _section = "cluster"
 
     def _validate(self, path: str) -> list[tuple[str, str]]:
+        from repro.cluster.engines import ENGINES
         from repro.cluster.faults import FaultConfig, RetryPolicy
 
         out = []
@@ -610,8 +611,8 @@ class ClusterConfig(_Section):
             ),
             (
                 "engine",
-                self.engine in ("serial", "batched", "sharded"),
-                "must be one of: serial, batched, sharded",
+                self.engine in ENGINES,
+                f"must be one of: {', '.join(ENGINES)}",
             ),
             ("jobs", self.jobs >= 1, "must be >= 1"),
         )

@@ -76,6 +76,7 @@ from repro.api import (
     system_names,
 )
 from repro.api.registry import RegistryError
+from repro.cluster.engines import ENGINES
 from repro.core.engine import KlotskiEngine, KlotskiSystem
 from repro.errors import ConfigValidationError, OutOfMemoryError
 from repro.hardware.calibrate import TimingCache, measure
@@ -1102,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo", type=float, default=120.0,
                    help="latency SLO for goodput accounting (s)")
     p.add_argument(
-        "--engine", default=None, choices=["serial", "batched", "sharded"],
+        "--engine", default=None, choices=ENGINES,
         help="simulation engine (bit-identical results; default: serial, "
         "or sharded when --jobs > 1)",
     )

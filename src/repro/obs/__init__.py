@@ -18,7 +18,8 @@ The observability layer every subsystem reports through:
 
 Instrumented layers: the cluster event loop (arrival / router-decision /
 dispatch spans, event counters folded into ``ClusterReport``), the
-compiled executor (freeze / timing pass / memory replay), experiment
+executor (``schedule.freeze`` — opened on every run, a no-op once the
+schedule is frozen — then timing pass / memory replay), experiment
 cells (cache hit/miss, per-cell wall time), the routing and
 group-timing memos, and the artifact store. See ``docs/observability.md``.
 """

@@ -5,7 +5,7 @@ Design constraints, in priority order:
 1. **Disabled tracing is a guaranteed no-op.** ``span()`` returns one
    shared singleton context manager when tracing is off — no record, no
    dict, no closure is allocated on the fast path, so instrumented hot
-   loops (the cluster event loop, the compiled executor's phases) cost a
+   loops (the cluster event loop, the executor's phases) cost a
    function call and an attribute read. The perf-smoke acceptance bar is
    < 3% on ``repro.cli bench`` with tracing disabled.
 2. **Counters are always on.** They are single dict increments (no

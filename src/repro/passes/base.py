@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.hardware.spec import HardwareSpec
 from repro.passes.rewrite import OpMap
-from repro.runtime.schedule import CompiledSchedule, Schedule
+from repro.runtime.schedule import Schedule
 from repro.runtime.timeline import Timeline
 
 
@@ -24,14 +24,12 @@ class PassContext:
     """Everything a pass may inspect when proposing a rewrite.
 
     Attributes:
-        schedule: the current (already-accepted) schedule.
-        compiled: its frozen form.
+        schedule: the current (already-accepted, frozen) schedule.
         timeline: the executed baseline the pass is trying to beat.
         hardware: the machine the schedule targets.
     """
 
     schedule: Schedule
-    compiled: CompiledSchedule
     timeline: Timeline
     hardware: HardwareSpec
 

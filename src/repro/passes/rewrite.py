@@ -101,7 +101,7 @@ def rebuild_schedule(
         new_batches,
     )
     # Re-attach memory effects in the original attachment order (the
-    # compiled event stream sorts stably by (op, kind), so per-op replay
+    # frozen event stream sorts stably by (op, kind), so per-op replay
     # order is preserved). Merged groups pool their members' effects:
     # allocs move to the merged op's start and frees to its end, which
     # can only raise the replayed peak — never hide an OOM.

@@ -8,8 +8,8 @@ Algorithm 1. Because issue order is a valid topological order (the schedule
 IR only allows backward deps), start/end times can be computed in a single
 pass.
 
-The executor freezes the schedule into its structure-of-arrays form and
-computes start/end times in one tight pass over preconverted lists, then
+The executor freezes the schedule (deriving its structure-of-arrays form)
+and computes start/end times in one tight pass over its columns, then
 replays memory vectorized (a stable sort of the flat event stream plus a
 per-pool ``cumsum``, with capacity checks against the vectorized running
 peaks). It returns a :class:`~repro.runtime.timeline.Timeline` whose
@@ -28,16 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import OutOfMemoryError, ScheduleError
+from repro.errors import OutOfMemoryError
 from repro.hardware.spec import HardwareSpec
 from repro.obs import span
-from repro.runtime.schedule import (
-    EV_ALLOC,
-    RESOURCES,
-    CompiledSchedule,
-    Schedule,
-)
+from repro.runtime.schedule import EV_ALLOC, RESOURCES, Schedule
 from repro.runtime.timeline import Timeline
+
+# Pools whose capacity is enforced; DRAM/disk planning errors are
+# placement bugs, VRAM overflow is the paper's OOM condition.
+ENFORCED_POOLS = ("vram",)
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class ExecutorConfig:
     """Execution options."""
 
     check_memory: bool = True
-    # Pools whose capacity is enforced; DRAM/disk planning errors are
-    # placement bugs, VRAM overflow is the paper's OOM condition.
-    enforced_pools: tuple[str, ...] = ("vram",)
 
 
 def default_capacities(hardware: HardwareSpec) -> dict[str, int]:
@@ -68,35 +64,28 @@ class Executor:
 
     def run(
         self,
-        schedule: Schedule | CompiledSchedule,
+        schedule: Schedule,
         *,
         capacities: dict[str, int] | None = None,
     ) -> Timeline:
         """Execute ``schedule``; returns the resulting :class:`Timeline`.
 
-        Accepts either the authoring :class:`Schedule` (frozen on the fly)
-        or an already-compiled :class:`CompiledSchedule`. ``capacities``
-        overrides pool capacities (defaults to the hardware spec's usable
-        VRAM / DRAM / disk sizes).
+        The schedule is frozen first (a no-op when it already is), so it
+        can no longer change once it has run. ``capacities`` overrides
+        pool capacities (defaults to the hardware spec's usable VRAM /
+        DRAM / disk sizes).
         """
-        if isinstance(schedule, CompiledSchedule):
-            compiled = schedule
-        else:
-            with span("schedule.freeze"):
-                compiled = schedule.freeze()
+        with span("schedule.freeze"):
+            schedule.freeze()
         starts: list[float] = []
         ends: list[float] = []
         available = [0.0] * len(RESOURCES)
         append_start = starts.append
         append_end = ends.append
-        timing_span = span("executor.timing_pass", {"ops": compiled.num_ops})
-        try:
-            # ``ends`` only holds already-finished ops, so a forward (or
-            # self) dependency fails fast as an IndexError instead of
-            # silently reading zero.
-            for code, dur, deps in zip(
-                compiled._res_list, compiled._dur_list, compiled._deps_list
-            ):
+        # freeze() validated every dep as pointing backwards, so ``ends``
+        # always holds the ends it indexes.
+        with span("executor.timing_pass", {"ops": len(schedule)}):
+            for code, dur, deps in zip(schedule._res, schedule._dur, schedule._deps):
                 t = available[code]
                 for dep in deps:
                     dep_end = ends[dep]
@@ -106,20 +95,14 @@ class Executor:
                 t += dur
                 available[code] = t
                 append_end(t)
-        except IndexError:
-            raise ScheduleError(
-                f"op {len(ends)} has a forward or self dependency"
-            ) from None
-        finally:
-            timing_span.__exit__()
 
         starts_arr = np.array(starts, dtype=np.float64)
         ends_arr = np.array(ends, dtype=np.float64)
         # bincount accumulates in array order, matching the reference
         # engine's sequential ``+=`` float summation exactly.
         busy_arr = np.bincount(
-            compiled.resources,
-            weights=compiled.durations,
+            schedule.resources,
+            weights=schedule.durations,
             minlength=len(RESOURCES),
         )
         busy = {resource: float(busy_arr[i]) for i, resource in enumerate(RESOURCES)}
@@ -129,40 +112,40 @@ class Executor:
             capacities = default_capacities(self.hardware)
         with span("executor.memory_replay"):
             usage_arrays, peaks = self._replay_memory_compiled(
-                compiled, starts_arr, ends_arr, capacities
+                schedule, starts_arr, ends_arr, capacities
             )
         return Timeline(
-            compiled, starts_arr, ends_arr, makespan, busy, peaks, usage_arrays
+            schedule, starts_arr, ends_arr, makespan, busy, peaks, usage_arrays
         )
 
     def _replay_memory_compiled(
         self,
-        compiled: CompiledSchedule,
+        schedule: Schedule,
         starts: np.ndarray,
         ends: np.ndarray,
         capacities: dict[str, int],
     ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], dict[str, int]]:
         """Vectorized replay: stable argsort by (time, kind), per-pool cumsum."""
-        n_events = compiled.ev_op.shape[0]
+        n_events = schedule.ev_op.shape[0]
         usage: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         peaks: dict[str, int] = {}
         if n_events == 0:
             return usage, peaks
         times = np.where(
-            compiled.ev_kind == EV_ALLOC,
-            starts[compiled.ev_op],
-            ends[compiled.ev_op],
+            schedule.ev_kind == EV_ALLOC,
+            starts[schedule.ev_op],
+            ends[schedule.ev_op],
         )
         # Event arrays are already in replay (insertion) order, and lexsort
         # is stable, so ties on (time, kind) keep that order — exactly the
         # reference engine's ``events.sort(key=(time, kind))``.
-        order = np.lexsort((compiled.ev_kind, times))
+        order = np.lexsort((schedule.ev_kind, times))
         times_s = times[order]
-        deltas_s = compiled.ev_delta[order]
-        pools_s = compiled.ev_pool[order]
+        deltas_s = schedule.ev_delta[order]
+        pools_s = schedule.ev_pool[order]
 
         oom: tuple[int, str, int, int] | None = None  # (rank, pool, delta, level)
-        for code, pool in enumerate(compiled.pool_names):
+        for code, pool in enumerate(schedule.pool_names):
             mask = pools_s == code
             if not mask.any():
                 continue
@@ -175,7 +158,7 @@ class Executor:
             if (
                 self.config.check_memory
                 and capacity is not None
-                and pool in self.config.enforced_pools
+                and pool in ENFORCED_POOLS
                 and peak > capacity
             ):
                 local = int(np.argmax(levels > capacity))

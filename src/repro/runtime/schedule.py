@@ -10,17 +10,19 @@ expert transfer, KV-cache load, KV-cache store) map to issue order on the
 Ops carry optional memory effects (allocations applied at op start, frees at
 op end) so the executor can reconstruct pool usage over simulated time.
 
-Two representations exist:
+One object carries two forms:
 
 * the **authoring form** — :meth:`Schedule.add` and friends, plus
   :class:`Op` objects materialized on demand (``schedule.ops``,
   ``schedule[i]``, iteration). Internally the schedule accumulates
   structure-of-arrays columns, so building a multi-million-op DAG never
   allocates per-op objects unless somebody asks for them;
-* the **compiled form** — :meth:`Schedule.freeze` returns a
-  :class:`CompiledSchedule`: integer resource codes, float64 durations,
-  CSR-encoded dependencies, and flat alloc/free event arrays with pool
-  codes. The executor's fast path runs directly over these arrays.
+* the **frozen form** — :meth:`Schedule.freeze` validates the rows,
+  derives the array form onto the schedule (integer resource codes,
+  float64 durations, CSR-encoded dependencies, and flat alloc/free event
+  arrays with pool codes) and seals it: every mutator raises
+  :class:`~repro.errors.ScheduleError` afterwards, so the arrays can
+  never go stale. The executor runs directly over them.
 
 Because materialized :class:`Op` objects are a *view*, mutating one does
 not write back; memory effects attached after emission must go through
@@ -54,7 +56,7 @@ PHASE_TRANSFER = "transfer"
 PHASE_KV = "kv"
 PHASE_OTHER = "other"
 
-# Event kinds in the compiled memory-effect stream. Frees replay before
+# Event kinds in the frozen memory-effect stream. Frees replay before
 # allocs at identical times (free-then-alloc steady-state reuse should not
 # double count), so the free kind sorts first.
 EV_FREE = 0
@@ -92,120 +94,26 @@ class Op:
             raise ScheduleError("op duration must be non-negative")
 
 
-class CompiledSchedule:
-    """Structure-of-arrays snapshot of a :class:`Schedule`.
+class Schedule:
+    """An append-only, dependency-checked op list (structure-of-arrays).
 
-    The compiled form is what the executor's fast path consumes: every
-    per-op attribute is a parallel numpy array, dependencies are CSR
-    encoded, and memory effects are a single flat event stream ordered by
-    ``(op, kind)`` — the exact order the per-op reference executor
-    replays them in.
+    :meth:`freeze` seals the schedule and sets its array form, which is
+    what the executor consumes. Every per-op attribute is a parallel
+    numpy array, dependencies are CSR encoded, and memory effects are a
+    single flat event stream ordered by ``(op, kind)`` — the exact order
+    the per-op reference executor replays them in.
 
-    Attributes:
-        num_ops: number of ops in the snapshot.
-        resources: ``[num_ops]`` int16 resource codes (indices into
+    Attributes (set by :meth:`freeze`):
+        resources: ``[len]`` int16 resource codes (indices into
             :data:`RESOURCES`).
-        durations: ``[num_ops]`` float64 op durations in seconds.
-        dep_indptr: ``[num_ops + 1]`` int64 CSR row pointers.
+        durations: ``[len]`` float64 op durations in seconds.
+        dep_indptr: ``[len + 1]`` int64 CSR row pointers.
         dep_indices: ``[nnz]`` int64 dependency op ids.
         pool_names: pool-code -> pool-name table for the event stream.
         ev_op / ev_kind / ev_pool / ev_delta: ``[num_events]`` event
             arrays in replay order: owning op id, :data:`EV_FREE` /
             :data:`EV_ALLOC`, pool code, and signed byte delta.
     """
-
-    __slots__ = (
-        "num_ops",
-        "resources",
-        "durations",
-        "pool_names",
-        "ev_op",
-        "ev_kind",
-        "ev_pool",
-        "ev_delta",
-        "_dur_list",
-        "_res_list",
-        "_deps_list",
-        "_dep_indptr",
-        "_dep_indices",
-        "_schedule",
-    )
-
-    def __init__(self, schedule: "Schedule"):
-        n = len(schedule)
-        self.num_ops = n
-        # Snapshot the authoring lists (append-only, so shallow copies are
-        # enough to decouple from later schedule growth).
-        self._res_list = list(schedule._res)
-        self._dur_list = list(schedule._dur)
-        self._deps_list = list(schedule._deps)
-        self._schedule = schedule
-        self._dep_indptr = None
-        self._dep_indices = None
-
-        self.resources = np.array(self._res_list, dtype=np.int16)
-        self.durations = np.array(self._dur_list, dtype=np.float64)
-
-        # Flatten memory effects into replay order: by op, frees before
-        # allocs, attachment order within each (op, kind) group. lexsort is
-        # stable, so the trailing append index preserves attachment order.
-        ev_op = np.array(schedule._ev_op, dtype=np.int64)
-        ev_kind = np.array(schedule._ev_kind, dtype=np.int8)
-        ev_nbytes = np.array(schedule._ev_nbytes, dtype=np.int64)
-        pool_names: list[str] = []
-        pool_codes = {name: i for i, name in enumerate(pool_names)}
-        codes = np.empty(len(schedule._ev_pool), dtype=np.int16)
-        for i, pool in enumerate(schedule._ev_pool):
-            code = pool_codes.get(pool)
-            if code is None:
-                code = len(pool_names)
-                pool_codes[pool] = code
-                pool_names.append(pool)
-            codes[i] = code
-        order = np.lexsort((np.arange(len(ev_op)), ev_kind, ev_op))
-        self.ev_op = ev_op[order]
-        self.ev_kind = ev_kind[order]
-        self.ev_pool = codes[order]
-        self.ev_delta = np.where(
-            self.ev_kind == EV_ALLOC, ev_nbytes[order], -ev_nbytes[order]
-        )
-        self.pool_names = tuple(pool_names)
-
-    def _build_csr(self) -> None:
-        n = self.num_ops
-        counts = np.fromiter(
-            (len(d) for d in self._deps_list), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if indptr[-1]:
-            indices = np.fromiter(
-                (d for deps in self._deps_list for d in deps),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-        self._dep_indptr = indptr
-        self._dep_indices = indices
-
-    @property
-    def dep_indptr(self) -> np.ndarray:
-        """CSR row pointers of the dependency lists (built on demand)."""
-        if self._dep_indptr is None:
-            self._build_csr()
-        return self._dep_indptr
-
-    @property
-    def dep_indices(self) -> np.ndarray:
-        """CSR column indices (dependency op ids; built on demand)."""
-        if self._dep_indices is None:
-            self._build_csr()
-        return self._dep_indices
-
-
-class Schedule:
-    """An append-only, dependency-checked op list (structure-of-arrays)."""
 
     def __init__(self):
         # Per-op columns.
@@ -227,9 +135,12 @@ class Schedule:
         # f"{patterns[i % p]}{tags[i] or ''}:L{layer}[b{batch}]s{step}"
         # (the batch segment is omitted for batch-less rows).
         self._label_plans: list[tuple] = []
-        # Caches invalidated on every mutation.
+        # Derived caches, dropped on every mutation; mutation ends at
+        # freeze().
         self._ops_cache: list[Op] | None = None
-        self._frozen: CompiledSchedule | None = None
+        self._dep_indptr: np.ndarray | None = None
+        self._dep_indices: np.ndarray | None = None
+        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._dur)
@@ -245,8 +156,8 @@ class Schedule:
         """Materialized :class:`Op` views, one per row (cached).
 
         The list is rebuilt after any mutation; treat the objects as
-        read-only and attach late memory effects through
-        :meth:`add_allocs` / :meth:`add_frees`.
+        read-only and attach late memory effects (before :meth:`freeze`)
+        through :meth:`add_allocs` / :meth:`add_frees`.
         """
         if self._ops_cache is None:
             allocs: dict[int, list[MemEffect]] = {}
@@ -295,8 +206,10 @@ class Schedule:
         return labels
 
     def _invalidate(self) -> None:
-        self._ops_cache = None
-        self._frozen = None
+        """Refuse to mutate a frozen schedule; drop the derived caches."""
+        if self._frozen:
+            raise ScheduleError("schedule is frozen; it can no longer change")
+        self._ops_cache = self._dep_indptr = self._dep_indices = None
 
     def add(
         self,
@@ -312,6 +225,7 @@ class Schedule:
         frees: Iterable[MemEffect] = (),
     ) -> int:
         """Append an op and return its id (usable as a dependency)."""
+        self._invalidate()
         code = _RESOURCE_CODE.get(resource)
         if code is None:
             raise ScheduleError(f"unknown resource {resource!r}")
@@ -338,7 +252,6 @@ class Schedule:
             self.add_allocs(op_id, allocs)
         if frees:
             self.add_frees(op_id, frees)
-        self._invalidate()
         return op_id
 
     def extend_raw(
@@ -370,6 +283,7 @@ class Schedule:
         the batch segment when the row's batch is negative — only when
         the materialized op view is requested.
         """
+        self._invalidate()
         base = len(self._dur)
         k = len(durations)
         if durations and min(durations) < 0:
@@ -386,7 +300,6 @@ class Schedule:
         self._layers.extend(layers)
         self._phases.extend(phases)
         self._batches.extend(batches)
-        self._invalidate()
         return base
 
     def append_row(
@@ -400,6 +313,7 @@ class Schedule:
         batch: int = -1,
     ) -> int:
         """Append one pre-validated row (single-op :meth:`extend_raw`)."""
+        self._invalidate()
         if duration < 0:
             raise ScheduleError("op duration must be non-negative")
         op_id = len(self._dur)
@@ -410,21 +324,18 @@ class Schedule:
         self._layers.append(layer)
         self._phases.append(phase)
         self._batches.append(batch)
-        self._ops_cache = None
-        self._frozen = None
         return op_id
 
     def append_effect(
         self, op_id: int, kind: int, pool: str, tensor_id: str, nbytes: int
     ) -> None:
         """Attach one memory effect (:data:`EV_ALLOC` / :data:`EV_FREE`)."""
+        self._invalidate()
         self._ev_op.append(op_id)
         self._ev_kind.append(kind)
         self._ev_pool.append(pool)
         self._ev_tensor.append(tensor_id)
         self._ev_nbytes.append(nbytes)
-        self._ops_cache = None
-        self._frozen = None
 
     def add_allocs(self, op_id: int, effects: Iterable[MemEffect]) -> None:
         """Attach allocation effects (applied at op start) to ``op_id``."""
@@ -437,6 +348,7 @@ class Schedule:
     def _add_effects(
         self, op_id: int, effects: Iterable[MemEffect], kind: int
     ) -> None:
+        self._invalidate()
         if not 0 <= op_id < len(self._dur):
             raise ScheduleError(f"no op {op_id} to attach memory effects to")
         for effect in effects:
@@ -445,7 +357,6 @@ class Schedule:
             self._ev_pool.append(effect.pool)
             self._ev_tensor.append(effect.tensor_id)
             self._ev_nbytes.append(effect.nbytes)
-        self._invalidate()
 
     def compute(self, duration: float, label: str, **kw) -> int:
         return self.add(GPU, duration, label, **kw)
@@ -489,14 +400,65 @@ class Schedule:
                     f"op {op_id} has {kind} dependency {bad}"
                 )
 
-    def freeze(self) -> CompiledSchedule:
-        """Compile to the structure-of-arrays form (cached until mutated).
+    def freeze(self) -> Schedule:
+        """Derive the array form, seal the schedule and return it.
 
         Runs :meth:`validate` first, so malformed rows — dangling or
         forward deps, negative durations — fail here with a clear error
-        instead of corrupting the executor's replay mid-run.
+        instead of corrupting the executor's replay mid-run. A second
+        call does nothing.
         """
-        if self._frozen is None:
-            self.validate()
-            self._frozen = CompiledSchedule(self)
-        return self._frozen
+        if self._frozen:
+            return self
+        self.validate()
+        self.resources = np.array(self._res, dtype=np.int16)
+        self.durations = np.array(self._dur, dtype=np.float64)
+
+        # Flatten memory effects into replay order: by op, frees before
+        # allocs, attachment order within each (op, kind) group. lexsort is
+        # stable, so the trailing append index preserves attachment order.
+        ev_op = np.array(self._ev_op, dtype=np.int64)
+        ev_kind = np.array(self._ev_kind, dtype=np.int8)
+        ev_nbytes = np.array(self._ev_nbytes, dtype=np.int64)
+        pool_codes: dict[str, int] = {}
+        codes = np.array(
+            [pool_codes.setdefault(pool, len(pool_codes)) for pool in self._ev_pool],
+            dtype=np.int16,
+        )
+        order = np.lexsort((np.arange(len(ev_op)), ev_kind, ev_op))
+        self.ev_op = ev_op[order]
+        self.ev_kind = ev_kind[order]
+        self.ev_pool = codes[order]
+        self.ev_delta = np.where(
+            self.ev_kind == EV_ALLOC, ev_nbytes[order], -ev_nbytes[order]
+        )
+        self.pool_names = tuple(pool_codes)
+        self._frozen = True
+        return self
+
+    def _build_csr(self) -> None:
+        counts = np.fromiter(
+            (len(d) for d in self._deps), dtype=np.int64, count=len(self._deps)
+        )
+        indptr = np.zeros(len(self._deps) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        self._dep_indices = np.fromiter(
+            (d for deps in self._deps for d in deps),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
+        self._dep_indptr = indptr
+
+    @property
+    def dep_indptr(self) -> np.ndarray:
+        """CSR row pointers of the dependency lists (built on demand)."""
+        if self._dep_indptr is None:
+            self._build_csr()
+        return self._dep_indptr
+
+    @property
+    def dep_indices(self) -> np.ndarray:
+        """CSR column indices (dependency op ids; built on demand)."""
+        if self._dep_indices is None:
+            self._build_csr()
+        return self._dep_indices

@@ -1,6 +1,6 @@
 """Executed timelines: per-op start/end times plus derived statistics.
 
-A :class:`Timeline` holds the compiled schedule plus start/end arrays,
+A :class:`Timeline` holds the frozen schedule plus start/end arrays,
 and only materializes per-op :class:`ExecutedOp` objects (or the
 per-pool usage step functions) when somebody actually asks for them.
 Callers that only need makespan, busy time, or memory peaks — the
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.schedule import GPU, RESOURCES, CompiledSchedule, Op
+from repro.runtime.schedule import GPU, RESOURCES, Op, Schedule
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class Timeline:
     metrics hot path) never pay for them.
 
     Attributes (all constructor arguments):
-        compiled: the executed
-            :class:`~repro.runtime.schedule.CompiledSchedule`.
+        schedule: the executed (frozen)
+            :class:`~repro.runtime.schedule.Schedule`.
         starts: per-op start times, float64 in op order.
         ends: per-op end times, float64 in op order.
         makespan: end time of the last op.
@@ -67,7 +67,7 @@ class Timeline:
 
     def __init__(
         self,
-        compiled: CompiledSchedule,
+        schedule: Schedule,
         starts: np.ndarray,
         ends: np.ndarray,
         makespan: float,
@@ -75,7 +75,7 @@ class Timeline:
         memory_peak: dict[str, int],
         usage_arrays: dict[str, tuple[np.ndarray, np.ndarray]],
     ):
-        self.compiled = compiled
+        self.schedule = schedule
         self.starts = starts
         self.ends = ends
         self.makespan = makespan
@@ -91,7 +91,7 @@ class Timeline:
     def executed(self) -> list[ExecutedOp]:
         """Per-op execution records (materialized on first access)."""
         if self._executed is None:
-            ops = self.compiled._schedule.ops
+            ops = self.schedule.ops
             self._executed = [
                 ExecutedOp(op, start, end)
                 for op, start, end in zip(
@@ -144,7 +144,7 @@ class Timeline:
 
     def idle_time(self, resource: str = GPU) -> float:
         """Total idle seconds of ``resource`` between its first and last op."""
-        mask = self.compiled.resources == RESOURCES.index(resource)
+        mask = self.schedule.resources == RESOURCES.index(resource)
         starts = self.starts[mask]
         if starts.size < 2:
             return 0.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import OutOfMemoryError
 from repro.hardware.spec import HardwareSpec
-from repro.runtime.executor import Executor, ExecutorConfig, default_capacities
+from repro.runtime.executor import ENFORCED_POOLS, Executor, default_capacities
 from repro.runtime.schedule import RESOURCES, Schedule
 from repro.runtime.timeline import Timeline
 
@@ -48,9 +48,8 @@ def reference_run(
 
     Raises:
         OutOfMemoryError: the first replayed event that overflows a pool
-            the default :class:`ExecutorConfig` enforces.
+            of :data:`~repro.runtime.executor.ENFORCED_POOLS`.
     """
-    enforced_pools = ExecutorConfig().enforced_pools
     if capacities is None:
         capacities = default_capacities(hardware)
     schedule.validate()
@@ -92,7 +91,7 @@ def reference_run(
         if level > peaks.get(pool, 0):
             peaks[pool] = level
         capacity = capacities.get(pool)
-        if pool in enforced_pools and capacity is not None and level > capacity:
+        if pool in ENFORCED_POOLS and capacity is not None and level > capacity:
             raise OutOfMemoryError(pool, delta, capacity - (level - delta))
 
     usage_arrays = {

@@ -20,7 +20,8 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.hardware.spec import HardwareSpec
+from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
+from repro.model.config import ModelConfig
 from repro.passes import PassPipeline, PipelineResult
 from repro.passes.rewrite import OpMap
 from repro.runtime.schedule import RESOURCES, Schedule
@@ -204,53 +205,56 @@ def run_pass_differential(
     return PassDifferentialResult(pipeline=result, violations=violations)
 
 
-# The golden pipeline systems pinned by tests/test_goldens.py.
+# The golden pipeline recipe (tests/test_goldens.py pins its schedules and
+# tests/conftest.py shares it as a fixture): a mid-size MoE whose weights
+# do NOT fit the small GPU below, forcing real offloading decisions
+# without full Mixtral-scale op counts.
+SMALL_MIXTRAL = ModelConfig(
+    name="small-mixtral",
+    hidden_size=1024,
+    intermediate_size=3584,
+    num_layers=8,
+    num_heads=16,
+    num_kv_heads=4,
+    num_experts=8,
+    top_k=2,
+    vocab_size=8192,
+)
+
+# The golden pipeline systems.
 GOLDEN_PASS_SYSTEMS = ("klotski", "klotski(q)", "flexgen")
+
+
+def small_hardware() -> HardwareSpec:
+    """A machine proportioned like Env1 but sized for :data:`SMALL_MIXTRAL`."""
+    return HardwareSpec(
+        name="small-env",
+        gpu=ComputeSpec("small-gpu", 4e12, 100 * GB, kernel_overhead_s=100e-6),
+        cpu=ComputeSpec("small-cpu", 0.1e12, 10 * GB, kernel_overhead_s=5e-6),
+        vram_bytes=1 * GiB,
+        dram_bytes=32 * GiB,
+        disk_bytes=200 * GB,
+        pcie_h2d=LinkSpec("h2d", 2 * GB),
+        pcie_d2h=LinkSpec("d2h", 2 * GB),
+        disk_link=LinkSpec("disk", 0.5 * GB, latency_s=80e-6),
+    )
 
 
 def golden_pass_configs() -> list:
     """The golden pipeline recipe as replayable config blobs.
 
-    Mirrors ``tests/test_goldens.py``: a mid-size MoE whose weights do
-    not fit the small GPU, forcing real offloading schedules, expressed
-    with inline model/hardware specs so the CLI needs no test fixtures.
+    :data:`SMALL_MIXTRAL` on :func:`small_hardware`, expressed as inline
+    model/hardware specs so the CLI needs no test fixtures.
 
     Returns:
         One :class:`~repro.api.RunConfig` per golden pipeline system.
     """
     from repro.api import RunConfig, ScenarioConfig, SystemConfig
-    from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
-    from repro.model.config import ModelConfig
 
-    model = dataclasses.asdict(
-        ModelConfig(
-            name="small-mixtral",
-            hidden_size=1024,
-            intermediate_size=3584,
-            num_layers=8,
-            num_heads=16,
-            num_kv_heads=4,
-            num_experts=8,
-            top_k=2,
-            vocab_size=8192,
-        )
-    )
-    env = dataclasses.asdict(
-        HardwareSpec(
-            name="small-env",
-            gpu=ComputeSpec("small-gpu", 4e12, 100 * GB, kernel_overhead_s=100e-6),
-            cpu=ComputeSpec("small-cpu", 0.1e12, 10 * GB, kernel_overhead_s=5e-6),
-            vram_bytes=1 * GiB,
-            dram_bytes=32 * GiB,
-            disk_bytes=200 * GB,
-            pcie_h2d=LinkSpec("h2d", 2 * GB),
-            pcie_d2h=LinkSpec("d2h", 2 * GB),
-            disk_link=LinkSpec("disk", 0.5 * GB, latency_s=80e-6),
-        )
-    )
     scenario = ScenarioConfig(
-        model=model, env=env, batch_size=4, n=3, prompt_len=32, gen_len=4,
-        seed=3,
+        model=dataclasses.asdict(SMALL_MIXTRAL),
+        env=dataclasses.asdict(small_hardware()),
+        batch_size=4, n=3, prompt_len=32, gen_len=4, seed=3,
     )
     return [
         RunConfig(scenario=scenario, system=SystemConfig(name))

@@ -74,58 +74,16 @@ def run_scheduler_differential(
     result = SchedulerDifferentialResult(schedulers=tuple(schedulers))
     if requests is None:
         requests = build_requests(config)
-    submitted = {r.request_id for r in requests}
 
+    # check_cluster's request-conservation and double-dispatch checks hold
+    # each discipline's terminal records to the submitted stream, so two
+    # clean reports terminate the same id set.
     for name in result.schedulers:
         run = dataclasses.replace(
             config, cluster=dataclasses.replace(config.cluster, scheduler=name)
         )
         report = run_cluster(run, shared_cache=shared_cache, requests=requests)
         result.reports[name] = report
-
         for violation in check_cluster(report, requests):
             result.diffs.append(f"{name}: invariant {violation}")
-        terminated: dict[int, int] = {}
-        for record in report.records:
-            rid = record.request.request_id
-            terminated[rid] = terminated.get(rid, 0) + 1
-        missing = sorted(submitted - set(terminated))
-        if missing:
-            result.diffs.append(
-                f"{name}: {len(missing)} submitted requests never "
-                f"terminated (first: {missing[:5]})"
-            )
-        doubled = sorted(r for r, c in terminated.items() if c > 1)
-        if doubled:
-            result.diffs.append(
-                f"{name}: {len(doubled)} requests terminated more than "
-                f"once (first: {doubled[:5]})"
-            )
-        invented = sorted(set(terminated) - submitted)
-        if invented:
-            result.diffs.append(
-                f"{name}: records contain unknown request ids "
-                f"{invented[:5]}"
-            )
-
-    # Cross-scheduler conservation: both disciplines must terminate the
-    # exact same id set (outcome splits may differ under faults — the
-    # disciplines crash different in-flight sets — but nothing may be
-    # lost or invented by either).
-    if len(result.reports) == len(result.schedulers) >= 2:
-        reference = result.schedulers[0]
-        ref_ids = {
-            r.request.request_id for r in result.reports[reference].records
-        }
-        for name in result.schedulers[1:]:
-            ids = {
-                r.request.request_id for r in result.reports[name].records
-            }
-            if ids != ref_ids:
-                only_ref = sorted(ref_ids - ids)[:5]
-                only_cand = sorted(ids - ref_ids)[:5]
-                result.diffs.append(
-                    f"terminal id sets differ: only {reference} "
-                    f"{only_ref}, only {name} {only_cand}"
-                )
     return result

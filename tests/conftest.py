@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
+from repro.hardware.spec import HardwareSpec
 from repro.model.config import ModelConfig
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
+from repro.validation.pass_differential import SMALL_MIXTRAL, small_hardware
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -49,35 +50,6 @@ TINY_DENSE = ModelConfig(
     vocab_size=256,
     ffn_matrices=2,
 )
-
-# A mid-size MoE whose weights do NOT fit the small GPU below, forcing real
-# offloading decisions without full Mixtral-scale op counts.
-SMALL_MIXTRAL = ModelConfig(
-    name="small-mixtral",
-    hidden_size=1024,
-    intermediate_size=3584,
-    num_layers=8,
-    num_heads=16,
-    num_kv_heads=4,
-    num_experts=8,
-    top_k=2,
-    vocab_size=8192,
-)
-
-
-def small_hardware() -> HardwareSpec:
-    """A machine proportioned like Env1 but sized for SMALL_MIXTRAL."""
-    return HardwareSpec(
-        name="small-env",
-        gpu=ComputeSpec("small-gpu", 4e12, 100 * GB, kernel_overhead_s=100e-6),
-        cpu=ComputeSpec("small-cpu", 0.1e12, 10 * GB, kernel_overhead_s=5e-6),
-        vram_bytes=1 * GiB,
-        dram_bytes=32 * GiB,
-        disk_bytes=200 * GB,
-        pcie_h2d=LinkSpec("h2d", 2 * GB),
-        pcie_d2h=LinkSpec("d2h", 2 * GB),
-        disk_link=LinkSpec("disk", 0.5 * GB, latency_s=80e-6),
-    )
 
 
 @pytest.fixture

@@ -139,16 +139,29 @@ class TestEquivalenceProperty:
 
 
 class TestCompiledScheduleIR:
-    def test_freeze_caches_and_invalidates(self):
+    def test_freeze_seals(self):
         s = Schedule()
-        s.compute(1.0, "a")
-        frozen = s.freeze()
-        assert s.freeze() is frozen  # cached
-        s.compute(1.0, "b")
-        refrozen = s.freeze()
-        assert refrozen is not frozen
-        assert refrozen.num_ops == 2
-        assert frozen.num_ops == 1  # old snapshot unaffected
+        s.compute(1.0, "a", allocs=[MemEffect("vram", "a", 4)])
+        assert s.freeze() is s
+        assert s.freeze() is s  # a second call does nothing
+        mutators = {
+            "add": lambda: s.add(GPU, 1.0, "b"),
+            "compute": lambda: s.compute(1.0, "b"),
+            "extend_raw": lambda: s.extend_raw(
+                [0], [1.0], [()], ["b"], [-1], ["other"], [-1]
+            ),
+            "append_row": lambda: s.append_row(0, 1.0, "b", (), -1, "other"),
+            "append_effect": lambda: s.append_effect(0, 1, "vram", "t", 8),
+            "add_allocs": lambda: s.add_allocs(0, [MemEffect("vram", "t", 8)]),
+            "add_frees": lambda: s.add_frees(0, [MemEffect("vram", "t", 8)]),
+        }
+        for name, mutate in mutators.items():
+            with pytest.raises(ScheduleError, match="frozen"):
+                mutate()
+            assert len(s) == 1, name
+            assert len(s._ev_op) == 1, name  # nothing appended before the check
+        assert s.ev_op.tolist() == [0]
+        assert Executor(make_hw()).run(s).schedule is s
 
     def test_csr_deps_round_trip(self):
         s = Schedule()

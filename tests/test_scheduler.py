@@ -320,6 +320,26 @@ class TestSchedulerDifferential:
         assert set(result.reports) == {"group", "continuous"}
         assert result.reports["continuous"].scheduler == "continuous"
 
+    def test_lost_record_fails_conservation(self, monkeypatch):
+        import repro.api.run as api_run
+
+        real_run_cluster = api_run.run_cluster
+
+        def drop_one_continuous(config, **kw):
+            report = real_run_cluster(config, **kw)
+            if config.cluster.scheduler == "continuous":
+                report.records.pop()
+            return report
+
+        monkeypatch.setattr(api_run, "run_cluster", drop_one_continuous)
+        result = run_scheduler_differential(self._config(), shared_cache={})
+        assert not result.ok
+        assert any(
+            d.startswith("continuous: invariant [request-conservation]")
+            for d in result.diffs
+        ), result.diffs
+        assert not any(d.startswith("group:") for d in result.diffs)
+
     def test_differential_api_end_to_end(self):
         config = self._config(scheduler="continuous")
         requests = api_build_requests(config)
